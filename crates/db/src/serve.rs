@@ -8,16 +8,17 @@
 //! serving system, and the replication / load-balancing / fault-
 //! tolerance topics of the curriculum made executable in one artifact:
 //!
-//! * **Front end** (rank 0, this process): the [`pdc_mpi::kv_tcp`]
-//!   event-loop shape — nonblocking accept/read/write sweeps with the
-//!   same `MAX_LINE` / `MAX_WBUF` buffer caps — speaking the kv_tcp
-//!   line protocol to clients, plus a [`pdc_mpi::WireHub`] control
-//!   plane to the shards. Client sockets are registered on the hub's
-//!   poller ([`WireHub::register_client`]), so the whole tier blocks in
-//!   one `poll(2)` ([`WireHub::pump`]) instead of sleeping between
-//!   sweeps. On the default mesh topology, shard↔shard chain traffic
-//!   (`Fwd`, `Sync`) travels direct child connections and never crosses
-//!   the hub — [`ServeOutcome::hub_forwarded`] stays 0.
+//! * **Front end** (rank 0, this process): the workspace's event-loop
+//!   KV server. It speaks the [`pdc_mpi::kv`] line protocol to clients
+//!   with the shared framer and codec (GET/PUT/DEL/QUIT; CAS gets an
+//!   error line), over buffered nonblocking [`Conn`]s with ordered
+//!   reply slots, plus a [`pdc_mpi::WireHub`] control plane to the
+//!   shards. Client sockets are registered on the hub's poller
+//!   ([`WireHub::register_client`]), so the whole tier blocks in one
+//!   `poll(2)` ([`WireHub::pump`]) instead of sleeping between sweeps.
+//!   On the default mesh topology, shard↔shard chain traffic (`Fwd`,
+//!   `Sync`) travels direct child connections and never crosses the hub
+//!   — [`ServeOutcome::hub_forwarded`] stays 0.
 //! * **Replication**: chain replication over [`HashRing::nodes_for`]
 //!   with 2 replicas. The front end sends an op to its primary; the
 //!   primary applies it, ships the *result* (absolute value + version,
@@ -50,16 +51,16 @@
 use crate::dht::HashRing;
 use crate::sharded::{apply_op, shard_ring, Applied, KvState, ShardOp};
 use pdc_core::merge::{self, MergedTrace};
+use pdc_core::metrics::Counter;
 use pdc_core::trace::{EventKind, ThreadTrace, TraceSession};
 use pdc_mpi::ft::HeartbeatMonitor;
-use pdc_mpi::kv_tcp::{MAX_LINE, MAX_WBUF};
+use pdc_mpi::kv::{self, Frame, Request, Store};
 use pdc_mpi::{
-    take_child_env, HubEvent, Payload, Transport, TransportError, WireHub, WireMessage,
+    take_child_env, Conn, HubEvent, Payload, Transport, TransportError, WireHub, WireMessage,
     WireOptions, WireTransport,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -93,8 +94,8 @@ pub enum ApplyCmd {
     },
 }
 
-/// The client-visible outcome of an op, rendered to a kv_tcp-style
-/// reply line by the front end.
+/// The client-visible outcome of an op, as it travels the chain; the
+/// front end renders it as a [`kv::Reply`] line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// PUT wrote this version (`OK <ver>`).
@@ -109,15 +110,32 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// The kv_tcp protocol line for this reply.
+    /// The protocol line for this reply (see [`kv::Reply::render`]).
     pub fn render(&self) -> String {
-        match self {
-            Reply::PutOk(ver) => format!("OK {ver}"),
-            Reply::DelOk => "OK 0".into(),
-            Reply::DelMiss => "NOTFOUND".into(),
-            Reply::Got(Some((val, ver))) => format!("VALUE {ver} {val}"),
-            Reply::Got(None) => "NOTFOUND".into(),
+        kv::Reply::from(self.clone()).render()
+    }
+}
+
+impl From<Applied> for Reply {
+    fn from(applied: Applied) -> Reply {
+        match applied {
+            Applied::Put(ver) => Reply::PutOk(ver),
+            Applied::Got(binding) => Reply::Got(binding),
+            Applied::Del(true) => Reply::DelOk,
+            Applied::Del(false) => Reply::DelMiss,
         }
+    }
+}
+
+impl From<Reply> for kv::Reply {
+    fn from(reply: Reply) -> kv::Reply {
+        match reply {
+            Reply::PutOk(ver) => Applied::Put(ver),
+            Reply::DelOk => Applied::Del(true),
+            Reply::DelMiss => Applied::Del(false),
+            Reply::Got(binding) => Applied::Got(binding),
+        }
+        .into()
     }
 }
 
@@ -390,7 +408,7 @@ impl WireMessage for ServeMsg {
 
 /// Apply a chained (absolute) command; replicas stay bit-identical to
 /// the primary because nothing is recomputed.
-fn apply_cmd(store: &mut BTreeMap<String, (String, u64)>, cmd: &ApplyCmd) {
+fn apply_cmd(store: &mut Store, cmd: &ApplyCmd) {
     match cmd {
         ApplyCmd::Set { key, val, ver } => {
             store.insert(key.clone(), (val.clone(), *ver));
@@ -454,7 +472,7 @@ pub fn run_shard_child() -> ! {
     };
 
     let mut ring = shard_ring(shards);
-    let mut store: BTreeMap<String, (String, u64)> = BTreeMap::new();
+    let mut store = Store::new();
     // Memoized results of mutating ops, keyed by op id: the idempotency
     // table that makes post-failure retries safe. A retried op re-ships
     // its memoized (cmd, reply) instead of re-applying.
@@ -474,8 +492,8 @@ pub fn run_shard_child() -> ! {
             ServeMsg::Op { id, op, backup } => match &op {
                 // GETs are idempotent and never chained: answer from
                 // the primary's store.
-                ShardOp::Get { key } => {
-                    let reply = Reply::Got(store.get(key).cloned());
+                ShardOp::Get { .. } => {
+                    let reply = Reply::from(apply_op(&mut store, &op));
                     send(0, ServeMsg::Ack { id, reply });
                 }
                 _ => {
@@ -484,31 +502,16 @@ pub fn run_shard_child() -> ! {
                         // idempotent re-chain, no second version bump.
                         Some((cmd, reply)) => (cmd.clone(), reply.clone()),
                         None => {
-                            let (cmd, reply) = match apply_op(&mut store, &op) {
-                                Applied::Put(ver) => (
-                                    ApplyCmd::Set {
-                                        key: op.key().to_string(),
-                                        val: match &op {
-                                            ShardOp::Put { val, .. } => val.clone(),
-                                            _ => unreachable!("Put applied"),
-                                        },
-                                        ver,
-                                    },
-                                    Reply::PutOk(ver),
-                                ),
-                                Applied::Del(true) => (
-                                    ApplyCmd::Del {
-                                        key: op.key().to_string(),
-                                    },
-                                    Reply::DelOk,
-                                ),
-                                Applied::Del(false) => (
-                                    ApplyCmd::Del {
-                                        key: op.key().to_string(),
-                                    },
-                                    Reply::DelMiss,
-                                ),
-                                Applied::Got(_) => unreachable!("GET handled above"),
+                            let reply = Reply::from(apply_op(&mut store, &op));
+                            let cmd = match (&op, &reply) {
+                                (ShardOp::Put { key, val }, Reply::PutOk(ver)) => ApplyCmd::Set {
+                                    key: key.clone(),
+                                    val: val.clone(),
+                                    ver: *ver,
+                                },
+                                _ => ApplyCmd::Del {
+                                    key: op.key().to_string(),
+                                },
                             };
                             primary_ops += 1;
                             if let Some((p, _, _)) = &counters {
@@ -727,7 +730,7 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Where clients connect (kv_tcp line protocol: GET/PUT/DEL/QUIT).
+    /// Where clients connect (the [`kv`] line protocol: GET/PUT/DEL/QUIT).
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -765,24 +768,54 @@ impl ServeHandle {
     }
 }
 
-/// One client connection in the front end's sweep loop — the event-loop
-/// server's `ElConn` plus an ordered reply queue, because replies here
-/// arrive asynchronously from the shard tier and must still go out in
-/// request order.
-struct FeConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    /// Replies owed, in request order: `Pending` slots fill in when the
-    /// chain acks; only a `Ready` prefix may be flushed.
+/// Cap on queued, not-yet-written reply bytes per client. A client that
+/// pipelines requests but never reads replies hits this instead of
+/// growing the front end's memory without bound; such a connection is
+/// dropped and counted in `kv.conn_errors`.
+const MAX_WBUF: usize = 256 * 1024;
+
+/// One client connection: the buffered nonblocking [`Conn`] plus the
+/// replies owed in request order — replies arrive asynchronously from
+/// the shard tier and must still go out in request order.
+struct Client {
+    conn: Conn,
+    /// `Pending` slots fill in when the chain acks; only a `Ready`
+    /// prefix may be written.
     replies: VecDeque<Slot>,
+    /// Stop reading (QUIT, EOF, an over-long line); close once every
+    /// owed reply is written.
     closing: bool,
+    /// Counted in `kv.conn_errors` already: a connection fails once.
+    failed: bool,
+    /// The socket is unusable: drop it without writing more.
     dead: bool,
 }
 
 enum Slot {
     Pending(u64),
-    Ready(String),
+    Ready(kv::Reply),
+}
+
+impl Client {
+    /// Count this connection as failed mid-request — once, and never
+    /// for failures the shutdown itself causes.
+    fn fail(&mut self, conn_errors: &Counter, shutting_down: bool) {
+        if !self.failed && !shutting_down {
+            conn_errors.inc();
+        }
+        self.failed = true;
+    }
+
+    /// Fill the reply slot of op `id`.
+    fn fill(&mut self, id: u64, reply: kv::Reply) {
+        let slot = self
+            .replies
+            .iter_mut()
+            .find(|s| matches!(s, Slot::Pending(x) if *x == id));
+        if let Some(slot) = slot {
+            *slot = Slot::Ready(reply);
+        }
+    }
 }
 
 /// An op sent to the shard tier and not yet acked.
@@ -795,7 +828,7 @@ struct PendingOp {
 
 /// Start the serving tier: spawn `opts.shards` shard processes, bind a
 /// client listener on an ephemeral loopback port, and run the front-end
-/// sweep loop on its own thread. Counters (`serve.promotions`,
+/// event loop on its own thread. Counters (`serve.promotions`,
 /// `serve.retries`, `serve.acked_ops`, `serve.heartbeat_timeouts`,
 /// `kv.conn_errors`) and the front end's send/recv events (actor 0) are
 /// published into `session`.
@@ -814,7 +847,8 @@ pub fn start(opts: ServeOptions, session: &TraceSession) -> std::io::Result<Serv
     let hub: WireHub<ServeMsg> = WireHub::spawn(&opts.wire)?;
     let (ctl_tx, ctl_rx) = channel();
     let session = session.clone();
-    let join = std::thread::spawn(move || front_end(opts, listener, hub, ctl_rx, &session));
+    let join =
+        std::thread::spawn(move || FrontEnd::new(&opts, listener, hub, ctl_rx, session).run());
     Ok(ServeHandle {
         addr,
         ctl: ctl_tx,
@@ -822,525 +856,491 @@ pub fn start(opts: ServeOptions, session: &TraceSession) -> std::io::Result<Serv
     })
 }
 
-#[allow(clippy::too_many_lines)]
-fn front_end(
-    opts: ServeOptions,
-    listener: TcpListener,
-    mut hub: WireHub<ServeMsg>,
-    ctl: Receiver<ServeCtl>,
-    session: &TraceSession,
-) -> ServeOutcome {
-    let shards = opts.shards;
-    let tracer: ThreadTrace = session.thread(0);
-    let traced = opts.wire.trace_dir.is_some();
-    let promotions = session.counter("serve.promotions");
-    let retries_ctr = session.counter("serve.retries");
-    let acked_ctr = session.counter("serve.acked_ops");
-    let hb_timeouts = session.counter("serve.heartbeat_timeouts");
-    let conn_errors = session.counter("kv.conn_errors");
+/// Poller token of the client listener (client sockets count up from 0).
+const LISTENER_TOKEN: u64 = u64::MAX;
 
-    let mut ring = shard_ring(shards);
-    let mut monitor = HeartbeatMonitor::new(opts.hb_timeout);
-    for r in 1..=shards {
-        monitor.register(r, 0);
+/// The front end (rank 0): the workspace's event-loop KV server. One
+/// sweep takes control messages, accepts, parses and routes client
+/// lines, takes shard acks and deaths, pings, and writes replies; with
+/// nothing to do it blocks in one `poll(2)` over every shard and client
+/// socket.
+struct FrontEnd {
+    hub: WireHub<ServeMsg>,
+    listener: TcpListener,
+    ctl: Receiver<ServeCtl>,
+    session: TraceSession,
+    /// Actor 0's events, when the world is traced.
+    tracer: Option<ThreadTrace>,
+    shards: usize,
+    trace_dir: Option<PathBuf>,
+    hb_interval: Duration,
+    promotions: Counter,
+    retries_ctr: Counter,
+    acked_ctr: Counter,
+    hb_timeouts: Counter,
+    conn_errors: Counter,
+    ring: HashRing,
+    monitor: HeartbeatMonitor,
+    clients: BTreeMap<u64, Client>,
+    next_conn: u64,
+    next_id: u64,
+    pending: BTreeMap<u64, PendingOp>,
+    acked: Vec<(u64, ShardOp)>,
+    dead: Vec<DeadShard>,
+    retries: u64,
+    // Drain/stop state machine: Running → Draining (Shutdown received)
+    // → Stopping (Stop sent, collecting reports) → done.
+    shutting_down: bool,
+    stop_sent: bool,
+    state: Store,
+    done_from: Vec<usize>,
+    start: Instant,
+    last_ping_tick: u64,
+}
+
+impl FrontEnd {
+    fn new(
+        opts: &ServeOptions,
+        listener: TcpListener,
+        hub: WireHub<ServeMsg>,
+        ctl: Receiver<ServeCtl>,
+        session: TraceSession,
+    ) -> FrontEnd {
+        let mut monitor = HeartbeatMonitor::new(opts.hb_timeout);
+        for r in 1..=opts.shards {
+            monitor.register(r, 0);
+        }
+        // One poller for the whole tier: shard connections are the hub's
+        // own; the client listener and every accepted client socket are
+        // registered alongside them, so the loop blocks in a single
+        // poll(2) and wakes on the first byte from any direction.
+        hub.register_client(listener.as_raw_fd(), LISTENER_TOKEN);
+        FrontEnd {
+            hub,
+            listener,
+            ctl,
+            tracer: opts.wire.trace_dir.is_some().then(|| session.thread(0)),
+            shards: opts.shards,
+            trace_dir: opts.wire.trace_dir.clone(),
+            hb_interval: opts.hb_interval,
+            promotions: session.counter("serve.promotions"),
+            retries_ctr: session.counter("serve.retries"),
+            acked_ctr: session.counter("serve.acked_ops"),
+            hb_timeouts: session.counter("serve.heartbeat_timeouts"),
+            conn_errors: session.counter("kv.conn_errors"),
+            session,
+            ring: shard_ring(opts.shards),
+            monitor,
+            clients: BTreeMap::new(),
+            next_conn: 0,
+            next_id: 1,
+            pending: BTreeMap::new(),
+            acked: Vec::new(),
+            dead: Vec::new(),
+            retries: 0,
+            shutting_down: false,
+            stop_sent: false,
+            state: Store::new(),
+            done_from: Vec::new(),
+            start: Instant::now(),
+            last_ping_tick: 0,
+        }
     }
-    let send = |hub: &WireHub<ServeMsg>, dst: usize, msg: ServeMsg| {
-        if traced {
-            tracer.record(EventKind::Send, dst as u64, msg.size_bytes());
+
+    fn run(mut self) -> ServeOutcome {
+        let deadline = self.start + Duration::from_secs(300);
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "serve front end stalled: {} pending, {} conns, stop_sent={}",
+                self.pending.len(),
+                self.clients.len(),
+                self.stop_sent
+            );
+            let mut progress = self.control();
+            progress |= self.accept();
+            progress |= self.read_clients();
+            progress |= self.shard_events();
+            self.heartbeats();
+            progress |= self.write_clients();
+            if self.drained() {
+                break;
+            }
+            if !progress {
+                // Nothing to do right now: block on readiness across
+                // every connection (shards + clients) instead of
+                // spin-sleeping. The timeout bounds the wait so
+                // heartbeat ticks still run with no traffic at all.
+                self.hub.pump(Duration::from_millis(2));
+            }
+        }
+        self.outcome()
+    }
+
+    /// Send to a shard, recording the send when traced.
+    fn send(&self, dst: usize, msg: ServeMsg) {
+        if let Some(t) = &self.tracer {
+            t.record(EventKind::Send, dst as u64, msg.size_bytes());
         }
         // Err means the writer is already gone; the Down event owns the
         // accounting and the retry.
-        let _ = hub.send(dst, TAG_SERVE, &msg);
-    };
+        let _ = self.hub.send(dst, TAG_SERVE, &msg);
+    }
 
-    let mut conns: BTreeMap<u64, FeConn> = BTreeMap::new();
-    let mut next_conn = 0u64;
-    let mut next_id = 1u64;
-    let mut pending: BTreeMap<u64, PendingOp> = BTreeMap::new();
-    let mut acked: Vec<(u64, ShardOp)> = Vec::new();
-    let mut dead: Vec<DeadShard> = Vec::new();
-    let mut retries = 0u64;
-    let mut scratch = [0u8; 4096];
+    /// Heartbeat intervals since start.
+    fn tick(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64 / self.hb_interval.as_millis() as u64
+    }
 
-    // Drain/stop state machine: Running → Draining (Shutdown received)
-    // → Stopping (Stop sent, collecting reports) → done.
-    let mut shutting_down = false;
-    let mut stop_sent = false;
-    let mut state: BTreeMap<String, (String, u64)> = BTreeMap::new();
-    let mut done_from: Vec<usize> = Vec::new();
-
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(300);
-    let mut last_ping_tick = 0u64;
-
-    // One poller for the whole tier: shard connections are the hub's
-    // own; the client listener and every accepted client socket are
-    // registered alongside them, so the loop blocks in a single
-    // poll(2) and wakes on the first byte from any direction.
-    const LISTENER_TOKEN: u64 = u64::MAX;
-    hub.register_client(listener.as_raw_fd(), LISTENER_TOKEN);
-
-    let targets = |ring: &HashRing, key: &str| -> (usize, u32) {
-        let group = ring.nodes_for(key, 2);
-        let primary = *group.first().expect("ring has nodes") as usize + 1;
-        let backup = group.get(1).map_or(NO_BACKUP, |n| *n as u32 + 1);
-        (primary, backup)
-    };
-
-    loop {
-        assert!(
-            Instant::now() < deadline,
-            "serve front end stalled: {} pending, {} conns, stop_sent={stop_sent}",
-            pending.len(),
-            conns.len()
-        );
+    fn control(&mut self) -> bool {
         let mut progress = false;
-
-        // 1. Control.
-        while let Ok(c) = ctl.try_recv() {
+        while let Ok(c) = self.ctl.try_recv() {
+            progress = true;
             match c {
                 ServeCtl::Kill(rank) => {
-                    let _ = hub.kill(rank);
-                    progress = true;
+                    let _ = self.hub.kill(rank);
                 }
                 ServeCtl::Pause(rank) => {
-                    let _ = hub.pause(rank);
+                    let _ = self.hub.pause(rank);
+                }
+                ServeCtl::Shutdown => self.shutting_down = true,
+            }
+        }
+        progress
+    }
+
+    fn accept(&mut self) -> bool {
+        let mut progress = false;
+        while !self.shutting_down {
+            match self.listener.accept() {
+                Ok((s, _)) => {
+                    let Ok(conn) = Conn::new(s) else {
+                        self.conn_errors.inc();
+                        continue;
+                    };
+                    self.hub.register_client(conn.fd(), self.next_conn);
+                    let client = Client {
+                        conn,
+                        replies: VecDeque::new(),
+                        closing: false,
+                        failed: false,
+                        dead: false,
+                    };
+                    self.clients.insert(self.next_conn, client);
+                    self.next_conn += 1;
                     progress = true;
                 }
-                ServeCtl::Shutdown => {
-                    shutting_down = true;
-                    progress = true;
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.conn_errors.inc();
+                    break;
                 }
             }
         }
+        progress
+    }
 
-        // 2. Accept new clients.
-        if !shutting_down {
-            loop {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        if s.set_nonblocking(true).is_err() {
-                            conn_errors.inc();
-                            continue;
-                        }
-                        // Request/reply with tiny frames: Nagle +
-                        // delayed ACK would put ~40ms on every op.
-                        s.set_nodelay(true).ok();
-                        hub.register_client(s.as_raw_fd(), next_conn);
-                        conns.insert(
-                            next_conn,
-                            FeConn {
-                                stream: s,
-                                rbuf: Vec::new(),
-                                wbuf: Vec::new(),
-                                replies: VecDeque::new(),
-                                closing: false,
-                                dead: false,
-                            },
-                        );
-                        next_conn += 1;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn_errors.inc();
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 3. Client read phase: parse complete lines into routed ops.
-        for (&cid, conn) in conns.iter_mut() {
-            if conn.closing || conn.dead {
+    /// Read every client and parse each complete line. GET/PUT/DEL get
+    /// an id and a pending reply slot and go to their primaries; every
+    /// other request is answered in place.
+    fn read_clients(&mut self) -> bool {
+        let mut progress = false;
+        let mut routed = Vec::new();
+        for (&cid, client) in &mut self.clients {
+            if client.closing || client.dead {
                 continue;
             }
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    if !conn.rbuf.is_empty() && !shutting_down {
-                        conn_errors.inc();
-                    }
-                    conn.closing = true;
-                    progress = true;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&scratch[..n]);
-                    progress = true;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    if !shutting_down {
-                        conn_errors.inc();
-                    }
-                    conn.dead = true;
-                    continue;
-                }
-            }
-            while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&raw);
+            let before = (client.conn.buffered().len(), client.conn.is_eof());
+            if client.conn.read_ready().is_err() {
+                client.fail(&self.conn_errors, self.shutting_down);
+                client.dead = true;
                 progress = true;
-                match parse_client_line(&line) {
-                    ClientReq::Op(op) => {
-                        let id = next_id;
-                        next_id += 1;
-                        let (primary, backup) = targets(&ring, op.key());
-                        conn.replies.push_back(Slot::Pending(id));
-                        send(
-                            &hub,
-                            primary,
-                            ServeMsg::Op {
-                                id,
-                                op: op.clone(),
-                                backup,
-                            },
-                        );
-                        pending.insert(
-                            id,
-                            PendingOp {
-                                conn: cid,
-                                op,
-                                primary,
-                                backup,
-                            },
-                        );
-                    }
-                    ClientReq::Quit => {
-                        conn.replies.push_back(Slot::Ready("BYE".into()));
-                        conn.closing = true;
-                        conn.rbuf.clear();
+                continue;
+            }
+            progress |= before != (client.conn.buffered().len(), client.conn.is_eof());
+            while !client.closing {
+                let (used, parsed) = match kv::frame(client.conn.buffered()) {
+                    Frame::Partial => break,
+                    Frame::TooLong => {
+                        client.fail(&self.conn_errors, self.shutting_down);
+                        client.replies.push_back(Slot::Ready(kv::Reply::too_long()));
+                        client.closing = true;
                         break;
                     }
-                    ClientReq::Bad(reply) => {
-                        conn.replies.push_back(Slot::Ready(reply));
+                    Frame::Line(line) => (line.len() + 1, Request::parse(line)),
+                };
+                client.conn.consume(used);
+                let slot = match parsed {
+                    Ok(Request::Op(op)) => {
+                        let id = self.next_id;
+                        self.next_id += 1;
+                        routed.push((id, cid, op));
+                        Slot::Pending(id)
                     }
-                }
+                    // CAS needs one linearization point; this tier is
+                    // replicated.
+                    Ok(Request::Cas { .. }) => {
+                        Slot::Ready(kv::Reply::Err("CAS is single-node only".into()))
+                    }
+                    Ok(Request::Quit) => {
+                        client.closing = true;
+                        Slot::Ready(kv::Reply::Bye)
+                    }
+                    Err(reply) => Slot::Ready(reply),
+                };
+                client.replies.push_back(slot);
             }
-            // Same overflow policy as both kv_tcp servers.
-            if !conn.closing && conn.rbuf.len() >= MAX_LINE {
-                conn.rbuf.clear();
-                conn.replies.push_back(Slot::Ready("ERR too-long".into()));
-                if !shutting_down {
-                    conn_errors.inc();
+            // EOF with a partial line left: the client vanished
+            // mid-request. Count it; never execute the truncated line.
+            if client.conn.is_eof() && !client.closing {
+                if !client.conn.buffered().is_empty() {
+                    client.fail(&self.conn_errors, self.shutting_down);
                 }
-                conn.closing = true;
-                progress = true;
+                client.closing = true;
+            }
+            // Read no more: a socket left readable (EOF, bytes after
+            // QUIT) must not wake every poll while replies are owed.
+            if client.closing {
+                self.hub.deregister_client(cid);
             }
         }
+        for (id, conn, op) in routed {
+            self.pending.insert(
+                id,
+                PendingOp {
+                    conn,
+                    op,
+                    primary: 0,
+                    backup: NO_BACKUP,
+                },
+            );
+            self.dispatch(id);
+        }
+        progress
+    }
 
-        // 4. Shard events: acks fill reply slots; deaths trigger
-        // promotion + rebalance + retries.
+    /// Send pending op `id` to the primary of its chain on the current
+    /// ring, naming the backup that will ack it.
+    fn dispatch(&mut self, id: u64) {
+        let p = self.pending.get_mut(&id).expect("pending op");
+        let group = self.ring.nodes_for(p.op.key(), 2);
+        p.primary = *group.first().expect("ring has nodes") as usize + 1;
+        p.backup = group.get(1).map_or(NO_BACKUP, |n| *n as u32 + 1);
+        let (primary, backup, op) = (p.primary, p.backup, p.op.clone());
+        self.send(primary, ServeMsg::Op { id, op, backup });
+    }
+
+    /// Shard events: acks fill reply slots; deaths trigger promotion,
+    /// rebalance and retries.
+    fn shard_events(&mut self) -> bool {
+        let mut progress = false;
         for _ in 0..1024 {
-            let Some(ev) = hub.try_event() else { break };
+            let Some(ev) = self.hub.try_event() else {
+                break;
+            };
             progress = true;
-            let tick = (start.elapsed().as_millis() as u64) / opts.hb_interval.as_millis() as u64;
             match ev {
                 HubEvent::Msg(envl) => {
-                    monitor.heard(envl.src, tick);
-                    if traced {
-                        tracer.record(EventKind::Recv, envl.src as u64, envl.msg.size_bytes());
+                    self.monitor.heard(envl.src, self.tick());
+                    if let Some(t) = &self.tracer {
+                        t.record(EventKind::Recv, envl.src as u64, envl.msg.size_bytes());
                     }
-                    match envl.msg {
-                        ServeMsg::Ack { id, reply } => {
-                            // A duplicate ack (original chain + retry
-                            // both completing) finds no pending entry
-                            // and is dropped: acked exactly once.
-                            if let Some(p) = pending.remove(&id) {
-                                acked.push((id, p.op));
-                                acked_ctr.inc();
-                                if let Some(conn) = conns.get_mut(&p.conn) {
-                                    fill_slot(conn, id, reply.render());
-                                }
-                            }
-                        }
-                        ServeMsg::Pong => {}
-                        ServeMsg::Entry { key, val, ver } => {
-                            let prev = state.insert(key, (val, ver));
-                            assert!(prev.is_none(), "two shards reported the same key");
-                        }
-                        ServeMsg::Done { .. } => done_from.push(envl.src),
-                        other => panic!("serve front end: unexpected {other:?}"),
-                    }
+                    self.take(envl.src, envl.msg);
                 }
                 HubEvent::Down { rank, error } => {
-                    if !monitor.is_dead(rank) {
-                        declare_dead(
-                            rank,
-                            Some(error),
-                            &mut ring,
-                            &mut monitor,
-                            &mut dead,
-                            &mut pending,
-                            &mut retries,
-                            &hub,
-                            &send,
-                            &targets,
-                            &promotions,
-                            &retries_ctr,
-                        );
-                    } else if stop_sent {
-                        // Clean post-Exit hangup; nothing to do.
+                    // A rank already declared dead (or cleanly exited
+                    // after Exit) needs nothing more.
+                    if !self.monitor.is_dead(rank) {
+                        self.declare_dead(rank, Some(error));
                     }
                 }
                 HubEvent::Result { .. } => {}
             }
         }
+        progress
+    }
 
-        // 5. Heartbeats: ping on a cadence, expire the silent.
-        let tick = (start.elapsed().as_millis() as u64) / opts.hb_interval.as_millis() as u64;
-        if tick > last_ping_tick && !stop_sent {
-            last_ping_tick = tick;
-            for r in monitor.alive() {
-                send(&hub, r, ServeMsg::Ping);
+    /// Take one message from shard `src`.
+    fn take(&mut self, src: usize, msg: ServeMsg) {
+        match msg {
+            ServeMsg::Ack { id, reply } => {
+                // A duplicate ack (original chain + retry both
+                // completing) finds no pending entry and is dropped:
+                // acked exactly once.
+                if let Some(p) = self.pending.remove(&id) {
+                    self.acked.push((id, p.op));
+                    self.acked_ctr.inc();
+                    if let Some(client) = self.clients.get_mut(&p.conn) {
+                        client.fill(id, reply.into());
+                    }
+                }
             }
-            for r in monitor.expired(tick) {
-                hb_timeouts.inc();
-                declare_dead(
-                    r,
-                    None,
-                    &mut ring,
-                    &mut monitor,
-                    &mut dead,
-                    &mut pending,
-                    &mut retries,
-                    &hub,
-                    &send,
-                    &targets,
-                    &promotions,
-                    &retries_ctr,
-                );
+            ServeMsg::Pong => {}
+            ServeMsg::Entry { key, val, ver } => {
+                let prev = self.state.insert(key, (val, ver));
+                assert!(prev.is_none(), "two shards reported the same key");
             }
+            ServeMsg::Done { .. } => self.done_from.push(src),
+            other => panic!("serve front end: unexpected {other:?}"),
         }
+    }
 
-        // 6. Client write phase: flush the Ready prefix of each reply
-        // queue, in request order.
-        for conn in conns.values_mut() {
-            if conn.dead {
+    /// Ping on a cadence, expire the silent.
+    fn heartbeats(&mut self) {
+        let tick = self.tick();
+        if tick <= self.last_ping_tick || self.stop_sent {
+            return;
+        }
+        self.last_ping_tick = tick;
+        for r in self.monitor.alive() {
+            self.send(r, ServeMsg::Ping);
+        }
+        for r in self.monitor.expired(tick) {
+            self.hb_timeouts.inc();
+            self.declare_dead(r, None);
+        }
+    }
+
+    /// Mark a shard dead: count the promotion, shrink the ring, tell the
+    /// survivors to rebalance, and re-send every unacknowledged op that
+    /// involved the dead rank — in id order — to its new chain.
+    fn declare_dead(&mut self, rank: usize, error: Option<TransportError>) {
+        // Claim the death inside the hub first: if this verdict came
+        // from the heartbeat detector, the socket-level EOF that follows
+        // for the same crash is suppressed at the source and can never
+        // reach the promotion logic as a second Down.
+        self.hub.report_dead(rank);
+        self.monitor.mark_dead(rank);
+        self.dead.push(DeadShard { rank, error });
+        let survivors = self.monitor.alive();
+        assert!(
+            !survivors.is_empty(),
+            "every shard died; nothing left to serve"
+        );
+        // The dead rank fronted part of the ring; its backups take over.
+        self.promotions.inc();
+        self.ring.remove_node((rank - 1) as u64);
+        for r in survivors {
+            self.send(r, ServeMsg::Reconfig { dead: rank as u32 });
+        }
+        // Re-send unacked ops whose chain included the dead rank. Id
+        // order preserves per-key apply order at the new primary;
+        // shard-side memoization absorbs ops the survivors already
+        // applied.
+        let affected: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.primary == rank || p.backup == rank as u32)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in affected {
+            self.retries += 1;
+            self.retries_ctr.inc();
+            self.dispatch(id);
+        }
+    }
+
+    /// Queue each client's `Ready` reply prefix, in request order, and
+    /// flush; drop closed and failed connections.
+    fn write_clients(&mut self) -> bool {
+        let mut progress = false;
+        for client in self.clients.values_mut() {
+            if client.dead {
                 continue;
             }
-            while let Some(Slot::Ready(_)) = conn.replies.front() {
-                let Some(Slot::Ready(text)) = conn.replies.pop_front() else {
+            while let Some(Slot::Ready(_)) = client.replies.front() {
+                let Some(Slot::Ready(reply)) = client.replies.pop_front() else {
                     unreachable!()
                 };
-                conn.wbuf.extend_from_slice(text.as_bytes());
-                conn.wbuf.push(b'\n');
+                let mut line = reply.render();
+                line.push('\n');
+                client.conn.queue(line.as_bytes());
                 progress = true;
             }
-            if conn.wbuf.len() > MAX_WBUF {
-                if !shutting_down {
-                    conn_errors.inc();
-                }
-                conn.dead = true;
-                continue;
-            }
-            if !conn.wbuf.is_empty() {
-                match conn.stream.write(&conn.wbuf) {
-                    Ok(0) => {
-                        if !shutting_down {
-                            conn_errors.inc();
-                        }
-                        conn.dead = true;
-                        continue;
-                    }
-                    Ok(n) => {
-                        conn.wbuf.drain(..n);
-                        progress = true;
-                    }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        if !shutting_down {
-                            conn_errors.inc();
-                        }
-                        conn.dead = true;
-                        continue;
-                    }
-                }
-            }
-            if conn.closing && conn.wbuf.is_empty() && conn.replies.is_empty() {
-                conn.dead = true;
+            // Any flush error, WriteZero included, is a dead connection;
+            // so is a client that never reads its replies.
+            if client.conn.queued_bytes() > MAX_WBUF || client.conn.flush().is_err() {
+                client.fail(&self.conn_errors, self.shutting_down);
+                client.dead = true;
+            } else if client.closing && client.replies.is_empty() && !client.conn.wants_write() {
+                client.dead = true;
                 progress = true;
             }
         }
-        for (&cid, c) in &conns {
+        let hub = &self.hub;
+        self.clients.retain(|&cid, c| {
             if c.dead {
                 hub.deregister_client(cid);
             }
-        }
-        conns.retain(|_, c| !c.dead);
+            !c.dead
+        });
+        progress
+    }
 
-        // 7. Drain/stop sequencing.
-        if shutting_down && !stop_sent && pending.is_empty() && conns.is_empty() {
-            for r in monitor.alive() {
-                send(&hub, r, ServeMsg::Stop);
+    /// Drain/stop sequencing. True once every survivor has reported its
+    /// state and been told to exit.
+    fn drained(&mut self) -> bool {
+        if self.shutting_down
+            && !self.stop_sent
+            && self.pending.is_empty()
+            && self.clients.is_empty()
+        {
+            for r in self.monitor.alive() {
+                self.send(r, ServeMsg::Stop);
             }
-            stop_sent = true;
-            progress = true;
+            self.stop_sent = true;
         }
-        if stop_sent && done_from.len() == monitor.alive().len() {
-            // Every survivor reported. Exit after all reports so any
-            // cross-shard Syncs have landed (see ServeMsg::Exit).
-            for r in monitor.alive() {
-                send(&hub, r, ServeMsg::Exit);
+        if !self.stop_sent || self.done_from.len() != self.monitor.alive().len() {
+            return false;
+        }
+        // Every survivor reported. Exit after all reports so any
+        // cross-shard Syncs have landed (see ServeMsg::Exit).
+        for r in self.monitor.alive() {
+            self.send(r, ServeMsg::Exit);
+        }
+        true
+    }
+
+    /// Tear the world down and collect the outcome.
+    fn outcome(self) -> ServeOutcome {
+        let hub_forwarded = self.hub.forwarded();
+        let statuses = self.hub.shutdown();
+        for (rank, status) in statuses.iter().enumerate().skip(1) {
+            if !self.dead.iter().any(|d| d.rank == rank) {
+                let status = status.expect("survivor status");
+                assert!(status.success(), "surviving shard {rank} exited {status}");
             }
-            break;
         }
-
-        if !progress {
-            // Nothing to do right now: block on readiness across every
-            // connection (shards + clients) instead of spin-sleeping.
-            // The timeout bounds the wait so heartbeat ticks still run
-            // on schedule even with no traffic at all.
-            hub.pump(Duration::from_millis(2));
+        let session = &self.session;
+        let trace = self.trace_dir.as_ref().map(|dir| {
+            let mut parts = Vec::new();
+            // The front end's own slice is process 0.
+            let fe_json = session.to_json_with_meta(&[("process", "0".to_string())]);
+            parts.push(merge::parse_trace(&fe_json, 0).expect("parse front-end trace"));
+            for rank in 1..=self.shards {
+                let path = dir.join(format!("rank{rank}.trace.json"));
+                // A killed shard never wrote its snapshot; skip it.
+                let Ok(text) = std::fs::read_to_string(&path) else {
+                    continue;
+                };
+                parts.push(
+                    merge::parse_trace(&text, rank as u32)
+                        .unwrap_or_else(|e| panic!("parse {}: {e}", path.display())),
+                );
+            }
+            MergedTrace::merge(parts)
+        });
+        ServeOutcome {
+            state: self.state.into_iter().collect(),
+            acked: self.acked,
+            promotions: session.snapshot().get("serve.promotions"),
+            retries: self.retries,
+            dead: self.dead,
+            conn_errors: session.snapshot().get("kv.conn_errors"),
+            hub_forwarded,
+            trace,
         }
-    }
-
-    let hub_forwarded = hub.forwarded();
-    let statuses = hub.shutdown();
-    for (rank, status) in statuses.iter().enumerate().skip(1) {
-        if !dead.iter().any(|d| d.rank == rank) {
-            let status = status.expect("survivor status");
-            assert!(status.success(), "surviving shard {rank} exited {status}");
-        }
-    }
-
-    let trace = opts.wire.trace_dir.as_ref().map(|dir| {
-        let mut parts = Vec::new();
-        // The front end's own slice is process 0.
-        let fe_json = session.to_json_with_meta(&[("process", "0".to_string())]);
-        parts.push(merge::parse_trace(&fe_json, 0).expect("parse front-end trace"));
-        for rank in 1..=shards {
-            let path = dir.join(format!("rank{rank}.trace.json"));
-            // A killed shard never wrote its snapshot; skip it.
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            parts.push(
-                merge::parse_trace(&text, rank as u32)
-                    .unwrap_or_else(|e| panic!("parse {}: {e}", path.display())),
-            );
-        }
-        MergedTrace::merge(parts)
-    });
-
-    ServeOutcome {
-        state: state.into_iter().collect(),
-        acked,
-        promotions: session.snapshot().get("serve.promotions"),
-        retries,
-        dead,
-        conn_errors: session.snapshot().get("kv.conn_errors"),
-        hub_forwarded,
-        trace,
-    }
-}
-
-/// Mark a shard dead: count the promotion, shrink the ring, tell the
-/// survivors to rebalance, and re-send every unacknowledged op that
-/// involved the dead rank — in id order — to its new chain.
-#[allow(clippy::too_many_arguments)]
-fn declare_dead(
-    rank: usize,
-    error: Option<TransportError>,
-    ring: &mut HashRing,
-    monitor: &mut HeartbeatMonitor,
-    dead: &mut Vec<DeadShard>,
-    pending: &mut BTreeMap<u64, PendingOp>,
-    retries: &mut u64,
-    hub: &WireHub<ServeMsg>,
-    send: &impl Fn(&WireHub<ServeMsg>, usize, ServeMsg),
-    targets: &impl Fn(&HashRing, &str) -> (usize, u32),
-    promotions: &pdc_core::metrics::Counter,
-    retries_ctr: &pdc_core::metrics::Counter,
-) {
-    // Claim the death inside the hub first: if this verdict came from
-    // the heartbeat detector, the socket-level EOF that follows for the
-    // same crash is suppressed at the source and can never reach the
-    // promotion logic as a second Down.
-    hub.report_dead(rank);
-    monitor.mark_dead(rank);
-    dead.push(DeadShard { rank, error });
-    let survivors = monitor.alive();
-    assert!(
-        !survivors.is_empty(),
-        "every shard died; nothing left to serve"
-    );
-    // The dead rank fronted part of the ring; its backups take over.
-    promotions.inc();
-    ring.remove_node((rank - 1) as u64);
-    for r in &survivors {
-        send(hub, *r, ServeMsg::Reconfig { dead: rank as u32 });
-    }
-    // Re-send unacked ops whose chain included the dead rank. Id order
-    // preserves per-key apply order at the new primary; shard-side
-    // memoization absorbs ops the survivors already applied.
-    let affected: Vec<u64> = pending
-        .iter()
-        .filter(|(_, p)| p.primary == rank || p.backup == rank as u32)
-        .map(|(&id, _)| id)
-        .collect();
-    for id in affected {
-        let p = pending.get_mut(&id).expect("pending");
-        let (primary, backup) = targets(ring, p.op.key());
-        p.primary = primary;
-        p.backup = backup;
-        *retries += 1;
-        retries_ctr.inc();
-        send(
-            hub,
-            primary,
-            ServeMsg::Op {
-                id,
-                op: p.op.clone(),
-                backup,
-            },
-        );
-    }
-}
-
-/// Fill the reply slot for op `id` on `conn`.
-fn fill_slot(conn: &mut FeConn, id: u64, text: String) {
-    for slot in conn.replies.iter_mut() {
-        if matches!(slot, Slot::Pending(x) if *x == id) {
-            *slot = Slot::Ready(text);
-            return;
-        }
-    }
-}
-
-enum ClientReq {
-    Op(ShardOp),
-    Quit,
-    Bad(String),
-}
-
-/// Parse one client line into a routed op (kv_tcp's GET/PUT/DEL/QUIT
-/// subset; CAS needs cross-replica consensus this tier doesn't promise).
-fn parse_client_line(line: &str) -> ClientReq {
-    let mut parts = line.trim().splitn(3, ' ');
-    let cmd = parts.next().unwrap_or("");
-    match cmd {
-        "GET" => match parts.next() {
-            Some(key) => ClientReq::Op(ShardOp::Get { key: key.into() }),
-            None => ClientReq::Bad("ERR usage: GET <key>".into()),
-        },
-        "PUT" => match (parts.next(), parts.next()) {
-            (Some(key), Some(val)) => ClientReq::Op(ShardOp::Put {
-                key: key.into(),
-                val: val.into(),
-            }),
-            _ => ClientReq::Bad("ERR usage: PUT <key> <value>".into()),
-        },
-        "DEL" => match parts.next() {
-            Some(key) => ClientReq::Op(ShardOp::Del { key: key.into() }),
-            None => ClientReq::Bad("ERR usage: DEL <key>".into()),
-        },
-        "QUIT" => ClientReq::Quit,
-        _ => ClientReq::Bad(format!("ERR unknown command {cmd:?}")),
     }
 }
 
@@ -1348,8 +1348,13 @@ fn parse_client_line(line: &str) -> ClientReq {
 mod tests {
     use super::*;
     use crate::sharded::apply_script;
+    use pdc_mpi::kv::MAX_LINE;
     use pdc_mpi::kv_tcp::TcpKvClient;
     use pdc_mpi::WireWorld;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn serve_msgs_roundtrip_the_wire_codec() {
@@ -1524,5 +1529,186 @@ mod tests {
             outcome.dead[0].error, None,
             "the heartbeat verdict won the race (no transport error involved)"
         );
+    }
+
+    /// A 2-shard world for the test at `path`, publishing into a fresh
+    /// session. Shard children re-run the test and never return.
+    fn world(path: &str) -> (ServeHandle, TraceSession) {
+        if WireWorld::child_world_id().as_deref() == Some(path) {
+            run_shard_child();
+        }
+        let session = TraceSession::new();
+        let opts = ServeOptions::new(2, WireOptions::for_test(2, path));
+        (start(opts, &session).expect("start serve"), session)
+    }
+
+    /// Wait until `kv.conn_errors` is nonzero, then return it.
+    fn counted_errors(session: &TraceSession) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while session.snapshot().get("kv.conn_errors") == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "kv.conn_errors never incremented"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        session.snapshot().get("kv.conn_errors")
+    }
+
+    /// Read reply lines until the front end closes the connection.
+    fn read_replies(s: TcpStream) -> Vec<String> {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut r = BufReader::new(s);
+        let mut replies = Vec::new();
+        let mut l = String::new();
+        loop {
+            l.clear();
+            match r.read_line(&mut l) {
+                Ok(0) => return replies,
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return replies,
+                Err(e) => panic!("connection left open after {replies:?}: {e}"),
+                Ok(_) => replies.push(l.trim_end().to_string()),
+            }
+        }
+    }
+
+    #[test]
+    fn put_values_keep_their_spaces() {
+        let (handle, _) = world("serve::tests::put_values_keep_their_spaces");
+        let mut c = TcpKvClient::connect(handle.addr()).unwrap();
+        assert_eq!(c.call("PUT k a b").unwrap(), "OK 1");
+        assert_eq!(c.call("GET k").unwrap(), "VALUE 1 a b");
+        assert_eq!(c.call("PUT k2 a  b").unwrap(), "OK 1");
+        assert_eq!(c.call("GET k2").unwrap(), "VALUE 1 a  b");
+        drop(c);
+        handle.finish();
+    }
+
+    #[test]
+    fn overlong_line_split_across_writes_is_rejected() {
+        let (handle, session) =
+            world("serve::tests::overlong_line_split_across_writes_is_rejected");
+        // A 6 009-byte PUT in two writes: neither half alone exceeds
+        // MAX_LINE, the line does.
+        let line = format!("PUT big {}\n", "x".repeat(6000));
+        assert_eq!(line.len(), 6009);
+        let s = TcpStream::connect(handle.addr()).unwrap();
+        let (a, b) = line.as_bytes().split_at(line.len() / 2);
+        (&s).write_all(a).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        // The front end may already have closed: a failed second write
+        // is fine, the reply is what matters.
+        let _ = (&s).write_all(b);
+        assert_eq!(read_replies(s), ["ERR too-long"], "one reply, then closed");
+        assert_eq!(counted_errors(&session), 1);
+        let mut c = TcpKvClient::connect(handle.addr()).unwrap();
+        assert_eq!(c.call("GET big").unwrap(), "NOTFOUND", "never executed");
+        drop(c);
+        assert_eq!(handle.finish().conn_errors, 1);
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_reply_in_order() {
+        // Three requests in a single syscall: the front end must split
+        // lines itself, and replies from different shards must still go
+        // out in request order.
+        let (handle, _) = world("serve::tests::pipelined_requests_in_one_write_reply_in_order");
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.write_all(b"PUT a 1\nPUT b 2\nGET a\n").unwrap();
+        let mut r = BufReader::new(s.try_clone().unwrap());
+        let mut lines = Vec::new();
+        for _ in 0..3 {
+            let mut l = String::new();
+            r.read_line(&mut l).unwrap();
+            lines.push(l.trim_end().to_string());
+        }
+        assert_eq!(lines, ["OK 1", "OK 1", "VALUE 1 1"]);
+        drop((s, r));
+        handle.finish();
+    }
+
+    #[test]
+    fn quit_drops_pipelined_suffix() {
+        let (handle, session) = world("serve::tests::quit_drops_pipelined_suffix");
+        let s = TcpStream::connect(handle.addr()).unwrap();
+        (&s).write_all(b"PUT a 1\nQUIT\nPUT b 2\n").unwrap();
+        assert_eq!(read_replies(s), ["OK 1", "BYE"]);
+        let mut c = TcpKvClient::connect(handle.addr()).unwrap();
+        assert_eq!(c.call("GET a").unwrap(), "VALUE 1 1", "prefix executed");
+        assert_eq!(c.call("GET b").unwrap(), "NOTFOUND", "suffix dropped");
+        assert_eq!(
+            session.snapshot().get("kv.conn_errors"),
+            0,
+            "a clean QUIT is not a conn error"
+        );
+        drop(c);
+        handle.finish();
+    }
+
+    #[test]
+    fn overlong_line_rejected_not_buffered() {
+        let (handle, session) = world("serve::tests::overlong_line_rejected_not_buffered");
+        let s = TcpStream::connect(handle.addr()).unwrap();
+        (&s).write_all(&vec![b'A'; MAX_LINE]).unwrap();
+        assert_eq!(read_replies(s), ["ERR too-long"]);
+        assert_eq!(counted_errors(&session), 1);
+        let mut c = TcpKvClient::connect(handle.addr()).unwrap();
+        assert_eq!(c.call("PUT ok 1").unwrap(), "OK 1");
+        drop(c);
+        handle.finish();
+    }
+
+    #[test]
+    fn mid_request_disconnect_is_survived_and_counted() {
+        let (handle, session) =
+            world("serve::tests::mid_request_disconnect_is_survived_and_counted");
+        let mut c = TcpKvClient::connect(handle.addr()).unwrap();
+        assert_eq!(c.call("PUT victim alive").unwrap(), "OK 1");
+        {
+            let mut bad = TcpStream::connect(handle.addr()).unwrap();
+            bad.write_all(b"DEL victim").unwrap();
+            // Drop: EOF with half a request buffered.
+        }
+        assert_eq!(counted_errors(&session), 1);
+        assert_eq!(c.call("GET victim").unwrap(), "VALUE 1 alive");
+        drop(c);
+        assert_eq!(handle.finish().conn_errors, 1);
+    }
+
+    #[test]
+    fn finish_mid_traffic_counts_no_spurious_errors() {
+        // finish() drains: it keeps serving until every client has left.
+        // Nothing about that, nor the clients leaving, is a conn error.
+        let (handle, _) = world("serve::tests::finish_mid_traffic_counts_no_spurious_errors");
+        let addr = handle.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let clients: Vec<_> = (0..4)
+            .map(|i| {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut c = TcpKvClient::connect(addr).unwrap();
+                    let mut j = 0u64;
+                    while !stop.load(Ordering::SeqCst) {
+                        j += 1;
+                        let r = c.call(&format!("PUT k{i} v{j}")).unwrap();
+                        assert_eq!(r, format!("OK {j}"));
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        let finish = std::thread::spawn(move || handle.finish());
+        std::thread::sleep(Duration::from_millis(100));
+        stop.store(true, Ordering::SeqCst);
+        for c in clients {
+            c.join().unwrap();
+        }
+        let outcome = finish.join().unwrap();
+        assert_eq!(
+            outcome.conn_errors, 0,
+            "shutdown fabricated connection errors"
+        );
+        let ops: Vec<ShardOp> = outcome.acked.iter().map(|(_, op)| op.clone()).collect();
+        assert_eq!(outcome.state, apply_script(&ops), "zero lost acked writes");
     }
 }

@@ -43,37 +43,9 @@ const TAG_STATE: u32 = 0x51;
 /// Virtual nodes per shard on the routing ring.
 const VNODES: usize = 64;
 
-/// One client operation against the sharded store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardOp {
-    /// Bind `key` to `val`; the key's version bumps on every write and
-    /// restarts at 1 after a delete.
-    Put {
-        /// Key to write.
-        key: String,
-        /// Value to store.
-        val: String,
-    },
-    /// Read `key` (shards count reads served; no reply flows back).
-    Get {
-        /// Key to read.
-        key: String,
-    },
-    /// Remove `key`.
-    Del {
-        /// Key to remove.
-        key: String,
-    },
-}
-
-impl ShardOp {
-    /// The key this operation routes on.
-    pub fn key(&self) -> &str {
-        match self {
-            ShardOp::Put { key, .. } | ShardOp::Get { key } | ShardOp::Del { key } => key,
-        }
-    }
-}
+/// The KV op, apply semantics and result type are the shared core in
+/// [`pdc_mpi::kv`]; this store routes the op under the name `ShardOp`.
+pub use pdc_mpi::kv::{apply_op, Applied, Op as ShardOp};
 
 /// Wire/world message for the sharded store: ops flow down from the
 /// router, state reports flow back up.
@@ -99,16 +71,6 @@ pub enum ShardMsg {
     },
 }
 
-impl Payload for ShardOp {
-    fn size_bytes(&self) -> u64 {
-        // 1 discriminant byte + the strings' bytes, matching encode().
-        1 + match self {
-            ShardOp::Put { key, val } => (key.len() + val.len()) as u64,
-            ShardOp::Get { key } | ShardOp::Del { key } => key.len() as u64,
-        }
-    }
-}
-
 impl Payload for ShardMsg {
     fn size_bytes(&self) -> u64 {
         match self {
@@ -117,44 +79,6 @@ impl Payload for ShardMsg {
             ShardMsg::Entry { key, val, .. } => 1 + (key.len() + val.len()) as u64 + 8,
             ShardMsg::Done { .. } => 1 + 8,
         }
-    }
-}
-
-impl WireMessage for ShardOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ShardOp::Put { key, val } => {
-                out.push(0);
-                key.encode(out);
-                val.encode(out);
-            }
-            ShardOp::Get { key } => {
-                out.push(1);
-                key.encode(out);
-            }
-            ShardOp::Del { key } => {
-                out.push(2);
-                key.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let (&disc, rest) = buf.split_first()?;
-        *buf = rest;
-        Some(match disc {
-            0 => ShardOp::Put {
-                key: String::decode(buf)?,
-                val: String::decode(buf)?,
-            },
-            1 => ShardOp::Get {
-                key: String::decode(buf)?,
-            },
-            2 => ShardOp::Del {
-                key: String::decode(buf)?,
-            },
-            _ => return None,
-        })
     }
 }
 
@@ -200,35 +124,6 @@ impl WireMessage for ShardMsg {
 
 /// The store's final contents, sorted by key: `(key, (value, version))`.
 pub type KvState = Vec<(String, (String, u64))>;
-
-/// What applying one [`ShardOp`] did — enough for a caller to build the
-/// client-visible reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Applied {
-    /// A PUT wrote this version.
-    Put(u64),
-    /// A GET observed this binding (or its absence).
-    Got(Option<(String, u64)>),
-    /// A DEL removed an existing key (`true`) or missed (`false`).
-    Del(bool),
-}
-
-/// Apply one op to a store map — the single source of truth for
-/// PUT/GET/DEL semantics, shared by the scripted shard loop, the
-/// direct-apply reference in tests and gates, and the replicated
-/// serving tier's primaries. The version bumps on every write and
-/// restarts at 1 after a delete.
-pub fn apply_op(store: &mut BTreeMap<String, (String, u64)>, op: &ShardOp) -> Applied {
-    match op {
-        ShardOp::Put { key, val } => {
-            let ver = store.get(key).map_or(0, |&(_, v)| v) + 1;
-            store.insert(key.clone(), (val.clone(), ver));
-            Applied::Put(ver)
-        }
-        ShardOp::Get { key } => Applied::Got(store.get(key).cloned()),
-        ShardOp::Del { key } => Applied::Del(store.remove(key).is_some()),
-    }
-}
 
 /// Reference semantics: apply a whole script to one flat map. The serve
 /// gate compares a replicated, failure-injected run's final state

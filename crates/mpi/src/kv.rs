@@ -1,72 +1,329 @@
-//! A client-server key-value store: the request/reply pattern.
+//! A client-server key-value store: the request/reply pattern, and the
+//! one protocol core every KV server in the workspace runs.
 //!
 //! CS87's "C socket client-server" short lab and CS45's distributed-
 //! systems introduction both teach the same structure: a server loop
 //! services typed requests from concurrent clients; clients block on
-//! replies. Channels stand in for sockets; the protocol (request enum,
-//! reply enum, versioned writes) is the real content.
+//! replies. Here channels stand in for sockets; the protocol (request
+//! enum, reply enum, versioned writes) is the real content.
+//!
+//! The protocol core is shared, not copied:
+//!
+//! * [`Op`] and [`apply_op`] — GET/PUT/DEL semantics over a [`Store`];
+//! * [`Request::parse`] and [`Reply::render`] — the text codec of the
+//!   line protocol (one request line in, one reply line out);
+//! * [`frame`] — the line framer: pure bytes in, no I/O, and
+//!   [`MAX_LINE`] enforced per line whatever the read boundaries were.
+//!
+//! [`Server`] runs it over channels, [`crate::kv_tcp::TcpKvServer`] over
+//! a thread per socket, and `pdc_db::serve` over one event loop in front
+//! of replicated shard processes.
 
+use crate::{Payload, WireMessage};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::thread::JoinHandle;
 
-/// Client requests.
-#[derive(Debug, Clone)]
-pub enum Request {
-    /// Read a key.
-    Get {
-        /// Key to read.
-        key: String,
-    },
-    /// Write a key, returning the new version.
+/// A store: key → (value, version).
+pub type Store = BTreeMap<String, (String, u64)>;
+
+/// One key-value operation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Op {
+    /// Bind `key` to `val`; the key's version bumps on every write and
+    /// restarts at 1 after a delete.
     Put {
         /// Key to write.
         key: String,
         /// Value to store.
-        value: String,
+        val: String,
     },
-    /// Delete a key.
-    Delete {
-        /// Key to delete.
+    /// Read `key`.
+    Get {
+        /// Key to read.
         key: String,
     },
+    /// Remove `key`.
+    Del {
+        /// Key to remove.
+        key: String,
+    },
+}
+
+impl Op {
+    /// The key this operation touches (and routes on).
+    pub fn key(&self) -> &str {
+        match self {
+            Op::Put { key, .. } | Op::Get { key } | Op::Del { key } => key,
+        }
+    }
+}
+
+/// What applying one [`Op`] did — enough to build the reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Applied {
+    /// A PUT wrote this version.
+    Put(u64),
+    /// A GET observed this binding (or its absence).
+    Got(Option<(String, u64)>),
+    /// A DEL removed an existing key (`true`) or missed (`false`).
+    Del(bool),
+}
+
+/// Apply one op to a store — the single source of truth for GET/PUT/DEL
+/// semantics. The version bumps on every write and restarts at 1 after
+/// a delete.
+pub fn apply_op(store: &mut Store, op: &Op) -> Applied {
+    match op {
+        Op::Put { key, val } => {
+            let ver = store.get(key).map_or(0, |&(_, v)| v) + 1;
+            store.insert(key.clone(), (val.clone(), ver));
+            Applied::Put(ver)
+        }
+        Op::Get { key } => Applied::Got(store.get(key).cloned()),
+        Op::Del { key } => Applied::Del(store.remove(key).is_some()),
+    }
+}
+
+/// A client request: one line of the text protocol.
+///
+/// ```text
+/// GET <key>             -> VALUE <version> <value> | NOTFOUND
+/// PUT <key> <value>     -> OK <version>          (the value may hold spaces)
+/// DEL <key>             -> OK 0 | NOTFOUND
+/// CAS <key> <ver> <val> -> OK <version> | CONFLICT <actual>
+/// QUIT                  -> BYE (the session ends)
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// A GET, PUT or DEL.
+    Op(Op),
     /// Compare-and-swap: write only if the current version matches.
+    /// Single-node only: the replicated tier answers it with an error.
     Cas {
         /// Key to write.
         key: String,
-        /// Expected current version.
+        /// Expected current version (0 = the key must be absent).
         expect_version: u64,
         /// Value to store on success.
         value: String,
     },
-    /// Shut the server down.
-    Shutdown,
+    /// End the session: closes a TCP connection, stops a [`Server`].
+    Quit,
 }
 
-/// Server replies.
+impl Request {
+    /// Parse one request line (without its `\n`). Surrounding
+    /// whitespace is ignored; a PUT or CAS value is the rest of the line
+    /// after the key, spaces included. Any bytes parse: a malformed line
+    /// yields the error reply the client gets.
+    pub fn parse(line: &[u8]) -> Result<Request, Reply> {
+        let text = String::from_utf8_lossy(line);
+        let text = text.trim();
+        let (cmd, args) = text.split_once(' ').unwrap_or((text, ""));
+        // A lone key, or a key followed by the rest of the line.
+        let key = || (!args.is_empty() && !args.contains(' ')).then(|| args.to_string());
+        let key_rest = || args.split_once(' ').filter(|(k, _)| !k.is_empty());
+        let (req, form) = match cmd {
+            "GET" => (key().map(|key| Request::Op(Op::Get { key })), "GET <key>"),
+            "DEL" => (key().map(|key| Request::Op(Op::Del { key })), "DEL <key>"),
+            "PUT" => (
+                key_rest().map(|(key, val)| {
+                    Request::Op(Op::Put {
+                        key: key.into(),
+                        val: val.into(),
+                    })
+                }),
+                "PUT <key> <value>",
+            ),
+            "CAS" => {
+                let parts = key_rest().and_then(|(key, rest)| Some((key, rest.split_once(' ')?)));
+                let req = match parts {
+                    Some((key, (ver, value))) => {
+                        let Ok(expect_version) = ver.parse() else {
+                            return Err(Reply::Err("bad version".into()));
+                        };
+                        Some(Request::Cas {
+                            key: key.into(),
+                            expect_version,
+                            value: value.into(),
+                        })
+                    }
+                    None => None,
+                };
+                (req, "CAS <key> <version> <value>")
+            }
+            "QUIT" => (args.is_empty().then_some(Request::Quit), "QUIT"),
+            _ => return Err(Reply::Err(format!("unknown command {cmd:?}"))),
+        };
+        req.ok_or_else(|| Reply::Err(format!("usage: {form}")))
+    }
+}
+
+/// A server reply: one line of the text protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// Value and its version.
+    /// Value and its version (`VALUE <version> <value>`).
     Value {
         /// The stored value.
         value: String,
         /// Its version number.
         version: u64,
     },
-    /// Key absent.
+    /// Key absent (`NOTFOUND`).
     NotFound,
-    /// Write accepted; the new version.
+    /// Write accepted; the new version, 0 for a DEL (`OK <version>`).
     Ok {
         /// Version after the write.
         version: u64,
     },
-    /// CAS failed; the actual current version.
+    /// CAS failed; the actual current version (`CONFLICT <actual>`).
     CasConflict {
         /// The version the server holds.
         actual_version: u64,
     },
-    /// Server acknowledged shutdown.
+    /// The session ends (`BYE`).
     Bye,
+    /// The request was refused (`ERR <reason>`).
+    Err(String),
+}
+
+impl Reply {
+    /// The reply to a request line longer than [`MAX_LINE`]; the server
+    /// counts the connection as failed and closes it.
+    pub fn too_long() -> Reply {
+        Reply::Err("too-long".into())
+    }
+
+    /// The protocol line for this reply, without its `\n`.
+    pub fn render(&self) -> String {
+        match self {
+            Reply::Value { value, version } => format!("VALUE {version} {value}"),
+            Reply::NotFound => "NOTFOUND".into(),
+            Reply::Ok { version } => format!("OK {version}"),
+            Reply::CasConflict { actual_version } => format!("CONFLICT {actual_version}"),
+            Reply::Bye => "BYE".into(),
+            Reply::Err(reason) => format!("ERR {reason}"),
+        }
+    }
+}
+
+impl From<Applied> for Reply {
+    fn from(applied: Applied) -> Reply {
+        match applied {
+            Applied::Put(version) => Reply::Ok { version },
+            Applied::Got(Some((value, version))) => Reply::Value { value, version },
+            Applied::Got(None) | Applied::Del(false) => Reply::NotFound,
+            Applied::Del(true) => Reply::Ok { version: 0 },
+        }
+    }
+}
+
+/// Execute one request against a single-node store: [`apply_op`] for
+/// GET/PUT/DEL, plus CAS, which only a single node can linearize.
+pub fn execute(store: &mut Store, req: &Request) -> Reply {
+    match req {
+        Request::Op(op) => apply_op(store, op).into(),
+        Request::Cas {
+            key,
+            expect_version,
+            value,
+        } => match store.get_mut(key) {
+            Some((v, ver)) if ver == expect_version => {
+                *v = value.clone();
+                *ver += 1;
+                Reply::Ok { version: *ver }
+            }
+            Some((_, ver)) => Reply::CasConflict {
+                actual_version: *ver,
+            },
+            None if *expect_version == 0 => {
+                store.insert(key.clone(), (value.clone(), 1));
+                Reply::Ok { version: 1 }
+            }
+            None => Reply::CasConflict { actual_version: 0 },
+        },
+        Request::Quit => Reply::Bye,
+    }
+}
+
+/// Longest accepted request line, in bytes, including the newline. A
+/// longer line gets [`Reply::too_long`], one `kv.conn_errors` bump, and
+/// a closed connection, on every server, instead of growing a
+/// server-side buffer without bound.
+pub const MAX_LINE: usize = 4096;
+
+/// The first request line of a byte stream (see [`frame`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
+    /// A complete line, without its `\n`; consume `len() + 1` bytes.
+    Line(&'a [u8]),
+    /// No newline yet, and still under [`MAX_LINE`]: read more.
+    Partial,
+    /// [`MAX_LINE`] bytes without a newline: reply
+    /// [`Reply::too_long`] and close.
+    TooLong,
+}
+
+/// Cut the first request line off `buf`, the unparsed bytes of a
+/// connection (which always start at a line boundary). Only the first
+/// [`MAX_LINE`] bytes are searched, so the cap holds per line no matter
+/// how the bytes were split across reads.
+pub fn frame(buf: &[u8]) -> Frame<'_> {
+    let window = &buf[..buf.len().min(MAX_LINE)];
+    match window.iter().position(|&b| b == b'\n') {
+        Some(end) => Frame::Line(&buf[..end]),
+        None if buf.len() >= MAX_LINE => Frame::TooLong,
+        None => Frame::Partial,
+    }
+}
+
+impl Payload for Op {
+    fn size_bytes(&self) -> u64 {
+        // 1 discriminant byte + the strings' bytes, matching encode().
+        1 + match self {
+            Op::Put { key, val } => (key.len() + val.len()) as u64,
+            Op::Get { key } | Op::Del { key } => key.len() as u64,
+        }
+    }
+}
+
+impl WireMessage for Op {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Op::Put { key, val } => {
+                out.push(0);
+                key.encode(out);
+                val.encode(out);
+            }
+            Op::Get { key } => {
+                out.push(1);
+                key.encode(out);
+            }
+            Op::Del { key } => {
+                out.push(2);
+                key.encode(out);
+            }
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let (&disc, rest) = buf.split_first()?;
+        *buf = rest;
+        Some(match disc {
+            0 => Op::Put {
+                key: String::decode(buf)?,
+                val: String::decode(buf)?,
+            },
+            1 => Op::Get {
+                key: String::decode(buf)?,
+            },
+            2 => Op::Del {
+                key: String::decode(buf)?,
+            },
+            _ => return None,
+        })
+    }
 }
 
 struct Envelope {
@@ -92,7 +349,7 @@ impl Client {
 
     /// Convenience: get a key's value.
     pub fn get(&self, key: &str) -> Option<String> {
-        match self.call(Request::Get { key: key.into() }) {
+        match self.call(Request::Op(Op::Get { key: key.into() })) {
             Reply::Value { value, .. } => Some(value),
             _ => None,
         }
@@ -100,10 +357,10 @@ impl Client {
 
     /// Convenience: put a key, returning the new version.
     pub fn put(&self, key: &str, value: &str) -> u64 {
-        match self.call(Request::Put {
+        match self.call(Request::Op(Op::Put {
             key: key.into(),
-            value: value.into(),
-        }) {
+            val: value.into(),
+        })) {
             Reply::Ok { version } => version,
             other => panic!("unexpected put reply {other:?}"),
         }
@@ -119,7 +376,7 @@ pub struct Server {
 /// Counters the server reports at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Requests serviced (excluding Shutdown).
+    /// Requests serviced (excluding Quit).
     pub requests: u64,
     /// Get requests that found the key.
     pub hits: u64,
@@ -132,71 +389,20 @@ impl Server {
     pub fn start() -> (Server, Client) {
         let (tx, rx): (Sender<Envelope>, Receiver<Envelope>) = unbounded();
         let handle = std::thread::spawn(move || {
-            let mut store: HashMap<String, (String, u64)> = HashMap::new();
+            let mut store = Store::new();
             let mut stats = ServerStats::default();
             while let Ok(Envelope { req, reply_to }) = rx.recv() {
-                let reply = match req {
-                    Request::Shutdown => {
-                        let _ = reply_to.send(Reply::Bye);
-                        break;
-                    }
-                    Request::Get { key } => {
-                        stats.requests += 1;
-                        match store.get(&key) {
-                            Some((v, ver)) => {
-                                stats.hits += 1;
-                                Reply::Value {
-                                    value: v.clone(),
-                                    version: *ver,
-                                }
-                            }
-                            None => Reply::NotFound,
-                        }
-                    }
-                    Request::Put { key, value } => {
-                        stats.requests += 1;
-                        let entry = store.entry(key).or_insert((String::new(), 0));
-                        entry.0 = value;
-                        entry.1 += 1;
-                        Reply::Ok { version: entry.1 }
-                    }
-                    Request::Delete { key } => {
-                        stats.requests += 1;
-                        match store.remove(&key) {
-                            Some(_) => Reply::Ok { version: 0 },
-                            None => Reply::NotFound,
-                        }
-                    }
-                    Request::Cas {
-                        key,
-                        expect_version,
-                        value,
-                    } => {
-                        stats.requests += 1;
-                        match store.get_mut(&key) {
-                            Some((v, ver)) if *ver == expect_version => {
-                                *v = value;
-                                *ver += 1;
-                                Reply::Ok { version: *ver }
-                            }
-                            Some((_, ver)) => {
-                                stats.cas_conflicts += 1;
-                                Reply::CasConflict {
-                                    actual_version: *ver,
-                                }
-                            }
-                            None if expect_version == 0 => {
-                                store.insert(key, (value, 1));
-                                Reply::Ok { version: 1 }
-                            }
-                            None => {
-                                stats.cas_conflicts += 1;
-                                Reply::CasConflict { actual_version: 0 }
-                            }
-                        }
-                    }
-                };
+                let reply = execute(&mut store, &req);
+                let quit = req == Request::Quit;
+                if !quit {
+                    stats.requests += 1;
+                    stats.hits += u64::from(matches!(reply, Reply::Value { .. }));
+                    stats.cas_conflicts += u64::from(matches!(reply, Reply::CasConflict { .. }));
+                }
                 let _ = reply_to.send(reply);
+                if quit {
+                    break;
+                }
             }
             stats
         });
@@ -213,7 +419,7 @@ impl Server {
     pub fn shutdown(self) -> ServerStats {
         let (rtx, rrx) = unbounded();
         let _ = self.tx.send(Envelope {
-            req: Request::Shutdown,
+            req: Request::Quit,
             reply_to: rtx,
         });
         let _ = rrx.recv();
@@ -233,7 +439,7 @@ mod tests {
         assert_eq!(client.get("x"), Some("1".into()));
         assert_eq!(client.put("x", "2"), 2, "version increments");
         assert_eq!(
-            client.call(Request::Delete { key: "x".into() }),
+            client.call(Request::Op(Op::Del { key: "x".into() })),
             Reply::Ok { version: 0 }
         );
         assert_eq!(client.get("x"), None);

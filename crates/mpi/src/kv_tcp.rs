@@ -1,69 +1,46 @@
 //! The client-server lab over **real TCP sockets** — CS87's "C socket
 //! client-server" short lab, on loopback.
 //!
-//! A line-oriented protocol (one request per line, one reply per line):
-//!
-//! ```text
-//! GET <key>             -> VALUE <version> <value> | NOTFOUND
-//! PUT <key> <value>     -> OK <version>
-//! DEL <key>             -> OK | NOTFOUND
-//! CAS <key> <ver> <val> -> OK <version> | CONFLICT <actual>
-//! QUIT                  -> BYE (connection closes)
-//! ```
-//!
-//! Two server architectures share the protocol and the store logic:
-//!
-//! * [`TcpKvServer`] — one thread per connection (the lab's first
-//!   architecture), shared store behind a mutex.
-//! * [`EventLoopKvServer`] — a single-threaded nonblocking event loop,
-//!   hand-rolled on `set_nonblocking` + a poll sweep (the `mio` shape
-//!   without the dependency): per-connection read/write buffers, no
-//!   lock on the store at all, and no thread explosion at high fan-in.
-//!
-//! The in-process channel version lives in [`crate::kv`]; this module
-//! shows the same semantics surviving a real byte stream.
+//! The line protocol of [`crate::kv`] (one request per line, one reply
+//! per line), served by [`TcpKvServer`]: one blocking thread per
+//! connection (the lab's first architecture) over a shared store behind
+//! a mutex. Framing, parsing, replies and the store semantics are the
+//! shared core in [`crate::kv`]; this module adds only the sockets. The
+//! workspace's event-loop KV server is `pdc_db::serve`'s front end,
+//! which runs the same core in front of replicated shard processes.
 //!
 //! Connections that die mid-request (a half-read line at EOF, a read or
-//! write error) never crash the server and never execute the truncated
-//! request; each such failure bumps the server's `kv.conn_errors`
-//! counter in its pdc-trace session. Failures *caused by shutdown* are
-//! not client failures and are never counted: shutdown half-closes the
-//! read side and lets in-flight replies finish writing, so a server
-//! stopped under load reports zero spurious errors.
+//! write error, a line over [`MAX_LINE`](crate::kv::MAX_LINE)) never
+//! crash the server and never execute the truncated request; each such
+//! failure bumps the server's `kv.conn_errors` counter in its pdc-trace
+//! session. Failures *caused by shutdown* are not client failures and
+//! are never counted: shutdown half-closes the read side and lets
+//! in-flight replies finish writing, so a server stopped under load
+//! reports zero spurious errors.
 
+use crate::kv::{execute, frame, Frame, Reply, Request, Store};
 use pdc_core::metrics::Counter;
 use pdc_core::trace::TraceSession;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-type Store = Arc<Mutex<HashMap<String, (String, u64)>>>;
-
-/// Longest accepted request line, in bytes, including the newline. A
-/// client that streams more than this without a `\n` gets `ERR
-/// too-long`, one `kv.conn_errors` bump, and a closed connection — on
-/// **both** server architectures — instead of growing a server-side
-/// buffer without bound. `db::serve`'s front end enforces the same cap.
-pub const MAX_LINE: usize = 4096;
-
-/// Cap on buffered, not-yet-written reply bytes per connection. A
-/// client that pipelines requests but never reads replies hits this
-/// instead of OOMing the event loop; such a connection is dropped and
-/// counted in `kv.conn_errors`.
-pub const MAX_WBUF: usize = 256 * 1024;
+const LIVE_POISONED: &str = "a connection thread panicked holding the live-connection map";
 
 /// A running TCP KV server.
 pub struct TcpKvServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<JoinHandle<()>>,
-    /// Clones of every accepted stream, so shutdown can force-close
-    /// connections whose clients are still attached (otherwise joining
-    /// their threads would block on a read forever).
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// A clone of every live connection's stream, so shutdown can
+    /// force-close connections whose clients are still attached
+    /// (otherwise joining their threads would block on a read forever).
+    /// A connection's thread removes its clone when it ends, so the
+    /// socket really closes.
+    conns: Arc<Mutex<BTreeMap<u64, TcpStream>>>,
     trace: TraceSession,
 }
 
@@ -80,27 +57,29 @@ impl TcpKvServer {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let store: Store = Arc::new(Mutex::new(HashMap::new()));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let store = Arc::new(Mutex::new(Store::new()));
+        let conns: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::default();
         let conn_errors = session.counter("kv.conn_errors");
         let sd = Arc::clone(&shutdown);
         let conns2 = Arc::clone(&conns);
         let accept_handle = std::thread::spawn(move || {
             let mut conn_handles = Vec::new();
-            for stream in listener.incoming() {
+            for (id, stream) in (0u64..).zip(listener.incoming()) {
                 if sd.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { break };
                 stream.set_nodelay(true).ok();
                 if let Ok(clone) = stream.try_clone() {
-                    conns2.lock().unwrap().push(clone);
+                    conns2.lock().expect(LIVE_POISONED).insert(id, clone);
                 }
                 let store = Arc::clone(&store);
                 let errors = conn_errors.clone();
                 let sd = Arc::clone(&sd);
+                let live = Arc::clone(&conns2);
                 conn_handles.push(std::thread::spawn(move || {
-                    serve_conn(stream, store, errors, sd)
+                    serve_conn(stream, &store, &errors, &sd);
+                    live.lock().expect(LIVE_POISONED).remove(&id);
                 }));
             }
             for h in conn_handles {
@@ -135,8 +114,8 @@ impl TcpKvServer {
     /// thread.
     ///
     /// Connections are half-closed on the **read** side only: a thread
-    /// blocked in `read_line` wakes with a clean EOF, while a thread
-    /// mid-write finishes its in-flight reply undisturbed (closing both
+    /// blocked in `read` wakes with a clean EOF, while a thread mid-write
+    /// finishes its in-flight reply undisturbed (closing both
     /// directions here used to race those writes into spurious
     /// `kv.conn_errors` bumps). Whatever the teardown interrupts is the
     /// server's doing, not a client failure, so `serve_conn` counts no
@@ -145,7 +124,7 @@ impl TcpKvServer {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock accept() with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        for c in self.conns.lock().unwrap().iter() {
+        for c in self.conns.lock().expect(LIVE_POISONED).values() {
             let _ = c.shutdown(std::net::Shutdown::Read);
         }
         if let Some(h) = self.accept_handle.take() {
@@ -154,7 +133,14 @@ impl TcpKvServer {
     }
 }
 
-fn serve_conn(stream: TcpStream, store: Store, conn_errors: Counter, shutdown: Arc<AtomicBool>) {
+/// One connection's thread: read, answer every complete line in one
+/// write, repeat until QUIT, EOF or a failure.
+fn serve_conn(
+    mut stream: TcpStream,
+    store: &Mutex<Store>,
+    conn_errors: &Counter,
+    shutdown: &AtomicBool,
+) {
     // A failure observed after shutdown began is the server tearing the
     // connection down, not the client misbehaving: never count it.
     let count_error = || {
@@ -162,426 +148,71 @@ fn serve_conn(stream: TcpStream, store: Store, conn_errors: Counter, shutdown: A
             conn_errors.inc();
         }
     };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match stream.read(&mut chunk) {
+            // EOF between requests is a clean close. EOF mid-line means
+            // the client vanished mid-request: never execute a
+            // truncated request — a half-read "DEL xy…" is not the
+            // request that was sent.
+            Ok(0) => {
+                if !buf.is_empty() {
+                    count_error();
+                }
+                return;
+            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                count_error();
+                return;
+            }
+        }
+        let mut out = Vec::new();
+        let mut used = 0;
+        let (mut quit, mut too_long) = (false, false);
+        while !quit && !too_long {
+            let reply = match frame(&buf[used..]) {
+                Frame::Partial => break,
+                Frame::TooLong => {
+                    too_long = true;
+                    Reply::too_long()
+                }
+                Frame::Line(line) => {
+                    used += line.len() + 1;
+                    match Request::parse(line) {
+                        Ok(req) => {
+                            quit = req == Request::Quit;
+                            execute(
+                                &mut store
+                                    .lock()
+                                    .expect("a connection thread panicked holding the store"),
+                                &req,
+                            )
+                        }
+                        Err(reply) => reply,
+                    }
+                }
+            };
+            out.extend_from_slice(reply.render().as_bytes());
+            out.push(b'\n');
+        }
+        buf.drain(..used);
+        // An over-long line is a failure whether or not its reply gets
+        // out: count it before replying, and only once.
+        if too_long {
             count_error();
+            let _ = stream.write_all(&out);
             return;
         }
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_line_capped(&mut reader) {
-            LineRead::Line(l) => l,
-            // Clean EOF: client closed between requests.
-            LineRead::Eof => return,
-            // Over-long request: tell the client why before closing.
-            // The event loop replies identically (parity-tested).
-            LineRead::TooLong => {
-                let _ = writer.write_all(b"ERR too-long\n");
-                count_error();
-                return;
-            }
-            // EOF mid-line or a read error: the client vanished
-            // mid-request. Never execute a truncated request — a
-            // half-read "DEL xy…" is not the request that was sent.
-            LineRead::Failed => {
-                count_error();
-                return;
-            }
-        };
-        let reply = handle_line(&line, &store);
-        let quit = line.trim() == "QUIT";
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if stream.write_all(&out).is_err() {
             count_error();
             return;
         }
         if quit {
             return;
         }
-    }
-}
-
-fn handle_line(line: &str, store: &Store) -> String {
-    apply_line(line, &mut store.lock().unwrap())
-}
-
-/// Outcome of reading one capped request line.
-enum LineRead {
-    /// A complete `\n`-terminated line within [`MAX_LINE`].
-    Line(String),
-    /// Clean EOF at a line boundary.
-    Eof,
-    /// The client streamed [`MAX_LINE`] bytes without a newline.
-    TooLong,
-    /// EOF mid-line or a read error — the client vanished mid-request.
-    Failed,
-}
-
-/// `read_line` with the [`MAX_LINE`] cap the event loop also enforces,
-/// so the two server architectures frame (and reject) identically.
-fn read_line_capped(r: &mut impl BufRead) -> LineRead {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let (consume, found) = {
-            let avail = match r.fill_buf() {
-                Ok(a) => a,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return LineRead::Failed,
-            };
-            if avail.is_empty() {
-                return if buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Failed
-                };
-            }
-            match avail.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    if buf.len() + i + 1 > MAX_LINE {
-                        return LineRead::TooLong;
-                    }
-                    buf.extend_from_slice(&avail[..=i]);
-                    (i + 1, true)
-                }
-                None => {
-                    buf.extend_from_slice(avail);
-                    (avail.len(), false)
-                }
-            }
-        };
-        r.consume(consume);
-        if found {
-            return LineRead::Line(String::from_utf8_lossy(&buf).into_owned());
-        }
-        if buf.len() >= MAX_LINE {
-            return LineRead::TooLong;
-        }
-    }
-}
-
-/// Execute one request line against the map. The store logic is shared
-/// verbatim by the thread-per-connection server (which locks around it)
-/// and the event-loop server (which owns the map and needs no lock).
-fn apply_line(line: &str, store: &mut HashMap<String, (String, u64)>) -> String {
-    let mut parts = line.trim().splitn(4, ' ');
-    let cmd = parts.next().unwrap_or("");
-    match cmd {
-        "GET" => {
-            let Some(key) = parts.next() else {
-                return "ERR usage: GET <key>".into();
-            };
-            match store.get(key) {
-                Some((v, ver)) => format!("VALUE {ver} {v}"),
-                None => "NOTFOUND".into(),
-            }
-        }
-        "PUT" => {
-            let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-                return "ERR usage: PUT <key> <value>".into();
-            };
-            let entry = store.entry(key.to_string()).or_insert((String::new(), 0));
-            entry.0 = value.to_string();
-            entry.1 += 1;
-            format!("OK {}", entry.1)
-        }
-        "DEL" => {
-            let Some(key) = parts.next() else {
-                return "ERR usage: DEL <key>".into();
-            };
-            match store.remove(key) {
-                Some(_) => "OK 0".into(),
-                None => "NOTFOUND".into(),
-            }
-        }
-        "CAS" => {
-            let (Some(key), Some(ver), Some(value)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return "ERR usage: CAS <key> <version> <value>".into();
-            };
-            let Ok(expect) = ver.parse::<u64>() else {
-                return "ERR bad version".into();
-            };
-            match store.get_mut(key) {
-                Some((v, actual)) if *actual == expect => {
-                    *v = value.to_string();
-                    *actual += 1;
-                    format!("OK {actual}")
-                }
-                Some((_, actual)) => format!("CONFLICT {actual}"),
-                None if expect == 0 => {
-                    store.insert(key.to_string(), (value.to_string(), 1));
-                    "OK 1".into()
-                }
-                None => "CONFLICT 0".into(),
-            }
-        }
-        "QUIT" => "BYE".into(),
-        _ => format!("ERR unknown command {cmd:?}"),
-    }
-}
-
-/// One connection's state in the event loop: the nonblocking stream
-/// plus the read bytes not yet forming a full line and the reply bytes
-/// not yet written.
-struct ElConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    /// Stop reading (QUIT or EOF seen); close once `wbuf` drains.
-    closing: bool,
-    /// Remove from the loop this sweep.
-    dead: bool,
-}
-
-/// A running KV server with the same line protocol as [`TcpKvServer`],
-/// but a single-threaded nonblocking event loop instead of a thread per
-/// connection: one sweep accepts new sockets, reads whatever bytes are
-/// ready, executes complete lines against a store the loop thread owns
-/// outright (no mutex), and writes as much pending reply as each socket
-/// accepts. `WouldBlock` is the scheduler — a connection that isn't
-/// ready costs one syscall, not one parked thread.
-pub struct EventLoopKvServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-    trace: TraceSession,
-}
-
-impl EventLoopKvServer {
-    /// Bind to an ephemeral loopback port and start the loop, with a
-    /// private trace session.
-    pub fn start() -> std::io::Result<EventLoopKvServer> {
-        EventLoopKvServer::start_traced(&TraceSession::new())
-    }
-
-    /// Like [`EventLoopKvServer::start`], publishing `kv.conn_errors`
-    /// into a shared `session`.
-    pub fn start_traced(session: &TraceSession) -> std::io::Result<EventLoopKvServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_errors = session.counter("kv.conn_errors");
-        let sd = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || event_loop(listener, &conn_errors, &sd));
-        Ok(EventLoopKvServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            trace: session.clone(),
-        })
-    }
-
-    /// The server's address (connect clients here).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The trace session this server publishes `kv.conn_errors` into.
-    pub fn trace(&self) -> &TraceSession {
-        &self.trace
-    }
-
-    /// Connections that failed mid-request so far (`kv.conn_errors`).
-    pub fn conn_errors(&self) -> u64 {
-        self.trace.snapshot().get("kv.conn_errors")
-    }
-
-    /// Stop the loop and join it. The loop drains first — pending
-    /// complete requests are executed and their replies flushed — so a
-    /// shutdown under load loses no acknowledged work and, as with
-    /// [`TcpKvServer::shutdown`], counts no spurious `kv.conn_errors`.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The sweep loop: accept, read/execute/write every connection, sleep
-/// briefly only when a full sweep made no progress.
-fn event_loop(listener: TcpListener, conn_errors: &Counter, shutdown: &AtomicBool) {
-    let mut store: HashMap<String, (String, u64)> = HashMap::new();
-    let mut conns: Vec<ElConn> = Vec::new();
-    let mut scratch = [0u8; 4096];
-    loop {
-        let shutting_down = shutdown.load(Ordering::SeqCst);
-        let mut progress = false;
-
-        // Accept everything ready (stop taking new work once draining).
-        if !shutting_down {
-            loop {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        if s.set_nonblocking(true).is_err() {
-                            conn_errors.inc();
-                            continue;
-                        }
-                        s.set_nodelay(true).ok();
-                        conns.push(ElConn {
-                            stream: s,
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            closing: false,
-                            dead: false,
-                        });
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn_errors.inc();
-                        break;
-                    }
-                }
-            }
-        }
-
-        for conn in &mut conns {
-            progress |= sweep_conn(conn, &mut store, &mut scratch, conn_errors, shutting_down);
-        }
-        conns.retain(|c| !c.dead);
-
-        if shutting_down && conns.iter().all(|c| c.wbuf.is_empty()) {
-            // Drained: every complete request received before shutdown
-            // has been executed and its reply flushed.
-            return;
-        }
-        if !progress {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }
-}
-
-/// One sweep over one connection: read ready bytes, execute complete
-/// lines, write as much pending reply as the socket accepts. Returns
-/// whether anything moved.
-fn sweep_conn(
-    conn: &mut ElConn,
-    store: &mut HashMap<String, (String, u64)>,
-    scratch: &mut [u8],
-    conn_errors: &Counter,
-    shutting_down: bool,
-) -> bool {
-    use std::io::Read;
-    let mut progress = false;
-
-    // Read phase.
-    if !conn.closing {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                // EOF. Leftover bytes are a request the client never
-                // finished — count it (unless we're the ones leaving)
-                // and never execute it.
-                if !conn.rbuf.is_empty() && !shutting_down {
-                    conn_errors.inc();
-                }
-                conn.closing = true;
-                progress = true;
-            }
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&scratch[..n]);
-                progress = true;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                if !shutting_down {
-                    conn_errors.inc();
-                }
-                conn.dead = true;
-                return true;
-            }
-        }
-        // Execute every complete line we now hold.
-        while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw);
-            let reply = apply_line(&line, store);
-            conn.wbuf.extend_from_slice(reply.as_bytes());
-            conn.wbuf.push(b'\n');
-            progress = true;
-            if line.trim() == "QUIT" {
-                conn.closing = true;
-                break;
-            }
-        }
-        // Still no newline and the buffer is at the cap: the client is
-        // streaming an over-long request. Same reply, count, and close
-        // as the threaded server (parity-tested).
-        if !conn.closing && conn.rbuf.len() >= MAX_LINE {
-            conn.rbuf.clear();
-            conn.wbuf.extend_from_slice(b"ERR too-long\n");
-            if !shutting_down {
-                conn_errors.inc();
-            }
-            conn.closing = true;
-            progress = true;
-        }
-    }
-
-    // Write phase. A client that pipelines requests but never reads
-    // replies is shed at the buffer cap instead of growing `wbuf`
-    // without bound.
-    if conn.wbuf.len() > MAX_WBUF {
-        if !shutting_down {
-            conn_errors.inc();
-        }
-        conn.dead = true;
-        return true;
-    }
-    if !conn.wbuf.is_empty() {
-        match write_pending(&mut conn.stream, &mut conn.wbuf) {
-            WriteStep::Progress => progress = true,
-            WriteStep::Idle => {}
-            WriteStep::Dead => {
-                if !shutting_down {
-                    conn_errors.inc();
-                }
-                conn.dead = true;
-                return true;
-            }
-        }
-    }
-    if conn.closing && conn.wbuf.is_empty() {
-        conn.dead = true;
-        progress = true;
-    }
-    progress
-}
-
-/// Outcome of one nonblocking write attempt.
-enum WriteStep {
-    /// Some bytes moved.
-    Progress,
-    /// Socket not ready (`WouldBlock`/`Interrupted`).
-    Idle,
-    /// The connection is unusable; the caller counts and drops it.
-    Dead,
-}
-
-/// Write as much of `wbuf` as the socket accepts. `Ok(0)` — a socket
-/// that will never accept another byte — reports [`WriteStep::Dead`]
-/// exactly like a write error, so the caller's `kv.conn_errors`
-/// accounting stays symmetric with the read phase (the `Ok(0)` arm used
-/// to mark the connection dead without counting).
-fn write_pending(w: &mut impl Write, wbuf: &mut Vec<u8>) -> WriteStep {
-    match w.write(wbuf) {
-        Ok(0) => WriteStep::Dead,
-        Ok(n) => {
-            wbuf.drain(..n);
-            WriteStep::Progress
-        }
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::Interrupted =>
-        {
-            WriteStep::Idle
-        }
-        Err(_) => WriteStep::Dead,
     }
 }
 
@@ -619,6 +250,7 @@ impl TcpKvClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::MAX_LINE;
 
     #[test]
     fn get_put_del_over_real_sockets() {
@@ -811,13 +443,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn cas_contention_one_ok_per_version_event_loop_server() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_cas_serialized(server.addr());
-        server.shutdown();
-    }
-
     /// Drive a server with request/response loops while it shuts down;
     /// whatever the teardown interrupts must not surface as client
     /// failures in `kv.conn_errors`.
@@ -866,98 +491,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn event_loop_shutdown_mid_traffic_counts_no_spurious_errors() {
-        let session = TraceSession::new();
-        let server = EventLoopKvServer::start_traced(&session).unwrap();
-        shutdown_under_load(server.addr(), move || server.shutdown());
-        assert_eq!(session.snapshot().get("kv.conn_errors"), 0);
-    }
-
-    #[test]
-    fn event_loop_serves_the_full_protocol() {
-        let server = EventLoopKvServer::start().unwrap();
-        let mut c = TcpKvClient::connect(server.addr()).unwrap();
-        assert_eq!(c.call("GET x").unwrap(), "NOTFOUND");
-        assert_eq!(c.call("PUT x 41").unwrap(), "OK 1");
-        assert_eq!(c.call("PUT x 42").unwrap(), "OK 2");
-        assert_eq!(c.call("GET x").unwrap(), "VALUE 2 42");
-        assert_eq!(c.call("CAS x 2 43").unwrap(), "OK 3");
-        assert_eq!(c.call("CAS x 2 stale").unwrap(), "CONFLICT 3");
-        assert_eq!(c.call("DEL x").unwrap(), "OK 0");
-        assert_eq!(c.call("GET x").unwrap(), "NOTFOUND");
-        assert!(c.call("FROB x").unwrap().starts_with("ERR"));
-        assert_eq!(c.call("QUIT").unwrap(), "BYE");
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_handles_pipelined_requests_in_one_write() {
-        // Three requests in a single syscall: the loop must split lines
-        // itself instead of relying on one-read-per-request framing.
-        let server = EventLoopKvServer::start().unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.write_all(b"PUT a 1\nPUT b 2\nGET a\n").unwrap();
-        let mut r = BufReader::new(s.try_clone().unwrap());
-        let mut lines = Vec::new();
-        for _ in 0..3 {
-            let mut l = String::new();
-            r.read_line(&mut l).unwrap();
-            lines.push(l.trim_end().to_string());
-        }
-        assert_eq!(lines, ["OK 1", "OK 1", "VALUE 1 1"]);
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_concurrent_clients_shared_store() {
-        let server = EventLoopKvServer::start().unwrap();
-        let addr = server.addr();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut c = TcpKvClient::connect(addr).unwrap();
-                    for j in 0..50 {
-                        let r = c.call(&format!("PUT c{i} v{j}")).unwrap();
-                        assert!(r.starts_with("OK "), "{r}");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        for i in 0..4 {
-            assert_eq!(c.call(&format!("GET c{i}")).unwrap(), "VALUE 50 v49");
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn event_loop_mid_request_disconnect_is_survived_and_counted() {
-        let server = EventLoopKvServer::start().unwrap();
-        let addr = server.addr();
-        let mut c = TcpKvClient::connect(addr).unwrap();
-        assert_eq!(c.call("PUT victim alive").unwrap(), "OK 1");
-        {
-            let mut bad = TcpStream::connect(addr).unwrap();
-            bad.write_all(b"DEL victim").unwrap();
-            // Drop: EOF with half a request buffered.
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while server.conn_errors() == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "kv.conn_errors never incremented"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(server.conn_errors(), 1);
-        assert_eq!(c.call("GET victim").unwrap(), "VALUE 1 alive");
-        server.shutdown();
-    }
-
     /// Send `PUT a 1\nQUIT\nPUT b 2\n` in one write; return the reply
     /// lines the server produced, stopping at EOF or once a read
     /// timeout shows no further reply is coming.
@@ -978,9 +511,9 @@ mod tests {
         }
     }
 
-    /// Both servers must execute the same prefix of a pipelined burst
-    /// that contains QUIT, drop the same suffix, and agree that nothing
-    /// about it was a connection error.
+    /// The server must execute the prefix of a pipelined burst that
+    /// contains QUIT, drop the suffix, and count nothing about it as a
+    /// connection error.
     fn assert_quit_drops_pipelined_suffix(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
         assert_eq!(pipeline_past_quit(addr), ["OK 1", "BYE"]);
         let mut c = TcpKvClient::connect(addr).unwrap();
@@ -996,20 +529,13 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn event_loop_quit_drops_pipelined_suffix() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_quit_drops_pipelined_suffix(server.addr(), || server.conn_errors());
-        server.shutdown();
-    }
-
-    /// Stream 4 × [`MAX_LINE`] bytes with no newline; expect `ERR
+    /// Stream [`MAX_LINE`] bytes with no newline; expect `ERR
     /// too-long`, a closed connection, one `kv.conn_errors` bump, and a
-    /// server that still serves new clients — on both architectures.
+    /// server that still serves new clients.
     fn assert_overlong_line_rejected(addr: SocketAddr, conn_errors: impl Fn() -> u64) {
         let s = TcpStream::connect(addr).unwrap();
-        // Exactly MAX_LINE newline-less bytes: enough to trip the cap
-        // on both servers, small enough to never block the writer.
+        // Exactly MAX_LINE newline-less bytes: enough to trip the cap,
+        // small enough to never block the writer.
         (&s).write_all(&vec![b'A'; MAX_LINE]).unwrap();
         s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
             .unwrap();
@@ -1037,31 +563,47 @@ mod tests {
     }
 
     #[test]
-    fn event_loop_overlong_line_rejected_not_buffered() {
-        let server = EventLoopKvServer::start().unwrap();
-        assert_overlong_line_rejected(server.addr(), || server.conn_errors());
+    fn put_values_keep_their_spaces() {
+        let server = TcpKvServer::start().unwrap();
+        let mut c = TcpKvClient::connect(server.addr()).unwrap();
+        assert_eq!(c.call("PUT k a b").unwrap(), "OK 1");
+        assert_eq!(c.call("GET k").unwrap(), "VALUE 1 a b");
+        assert_eq!(c.call("PUT k2 a  b").unwrap(), "OK 1");
+        assert_eq!(c.call("GET k2").unwrap(), "VALUE 1 a  b");
         server.shutdown();
     }
 
-    /// Pins the write-phase accounting fix: a zero-length write is a
-    /// dead connection and must report `Dead` (which the sweep counts in
-    /// `kv.conn_errors`), not silently vanish like it used to.
     #[test]
-    fn zero_length_write_is_a_dead_connection() {
-        struct ZeroSink;
-        impl Write for ZeroSink {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Ok(0)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut wbuf = b"OK 1\n".to_vec();
-        assert!(matches!(
-            write_pending(&mut ZeroSink, &mut wbuf),
-            WriteStep::Dead
-        ));
-        assert_eq!(wbuf, b"OK 1\n", "nothing consumed from a dead conn");
+    fn threaded_overlong_line_split_across_writes_is_rejected() {
+        let server = TcpKvServer::start().unwrap();
+        let addr = server.addr();
+        // A 6 009-byte PUT in two writes: neither half alone exceeds
+        // MAX_LINE, the line does.
+        let line = format!("PUT big {}\n", "x".repeat(6000));
+        assert_eq!(line.len(), 6009);
+        let s = TcpStream::connect(addr).unwrap();
+        let (a, b) = line.as_bytes().split_at(line.len() / 2);
+        (&s).write_all(a).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        // The server may already have closed: a failed second write is
+        // fine, the reply is what matters.
+        let _ = (&s).write_all(b);
+        s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut r = BufReader::new(s);
+        let mut reply = String::new();
+        let _ = r.read_line(&mut reply);
+        assert_eq!(reply.trim_end(), "ERR too-long");
+        let mut rest = String::new();
+        // EOF, or a reset for the unread half; a timeout means open.
+        let closed = match r.read_line(&mut rest) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed, "connection left open: {rest:?}");
+        assert_eq!(server.conn_errors(), 1);
+        let mut c = TcpKvClient::connect(addr).unwrap();
+        assert_eq!(c.call("GET big").unwrap(), "NOTFOUND", "never executed");
+        server.shutdown();
     }
 }

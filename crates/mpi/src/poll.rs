@@ -55,6 +55,10 @@ struct IoVec {
 /// below that and already amortises the syscall across a full burst.
 const MAX_IOV: usize = 64;
 
+/// Free bytes [`Conn::read_ready`] keeps at the tail of the read buffer
+/// for each read.
+const READ_CHUNK: usize = 16 * 1024;
+
 extern "C" {
     // POSIX poll(2); nfds_t is unsigned long on every target we build.
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
@@ -233,13 +237,18 @@ impl Poller {
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
+    /// Received bytes `rpos..rlen` not yet parsed; `rlen..` is
+    /// initialized room the next read lands in.
     rbuf: Vec<u8>,
     rpos: usize,
+    rlen: usize,
     /// Queued outgoing frames, oldest first; the front frame may be
     /// partially written (see `wpos`).
     wq: VecDeque<Vec<u8>>,
     /// Bytes of the front frame already written.
     wpos: usize,
+    /// Queued bytes not yet written.
+    queued: usize,
     /// `write`/`writev` syscalls attempted — observability for the
     /// batching claim (and its regression test).
     write_calls: u64,
@@ -256,8 +265,10 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             rpos: 0,
+            rlen: 0,
             wq: VecDeque::new(),
             wpos: 0,
+            queued: 0,
             write_calls: 0,
             eof: false,
         })
@@ -268,19 +279,31 @@ impl Conn {
         self.stream.as_raw_fd()
     }
 
-    /// Drain the socket into the read buffer (call on read readiness).
-    /// EOF and connection resets set [`Conn::is_eof`] rather than
-    /// erroring — a vanished peer is an in-band condition for every
-    /// caller; only unexpected I/O errors surface as `Err`.
+    /// Drain the socket into the read buffer (call on read readiness):
+    /// read until `WouldBlock` or a short read, which shows the socket
+    /// empty (level-triggered polling reports any later bytes). Reads
+    /// land straight in the buffer's reused tail, so a read costs no
+    /// copy and no zeroing. EOF and connection resets set
+    /// [`Conn::is_eof`] rather than erroring — a vanished peer is an
+    /// in-band condition for every caller; only unexpected I/O errors
+    /// surface as `Err`.
     pub fn read_ready(&mut self) -> io::Result<()> {
-        let mut scratch = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut scratch) {
+            if self.rbuf.len() < self.rlen + READ_CHUNK {
+                self.rbuf.resize(self.rlen + READ_CHUNK, 0);
+            }
+            let room = self.rbuf.len() - self.rlen;
+            match self.stream.read(&mut self.rbuf[self.rlen..]) {
                 Ok(0) => {
                     self.eof = true;
                     return Ok(());
                 }
-                Ok(n) => self.rbuf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    self.rlen += n;
+                    if n < room {
+                        return Ok(());
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
@@ -302,16 +325,21 @@ impl Conn {
 
     /// Unparsed received bytes.
     pub fn buffered(&self) -> &[u8] {
-        &self.rbuf[self.rpos..]
+        &self.rbuf[self.rpos..self.rlen]
     }
 
     /// Discard `n` parsed bytes from the front of the read buffer.
     pub fn consume(&mut self, n: usize) {
         self.rpos += n;
-        assert!(self.rpos <= self.rbuf.len(), "consumed past the buffer");
-        // Compact lazily so a long-lived conn doesn't grow forever.
-        if self.rpos > 64 * 1024 && self.rpos * 2 > self.rbuf.len() {
-            self.rbuf.drain(..self.rpos);
+        assert!(self.rpos <= self.rlen, "consumed past the buffer");
+        // Everything parsed: the next read starts at the front again.
+        // Otherwise compact lazily so a long-lived conn doesn't grow
+        // forever.
+        if self.rpos == self.rlen {
+            (self.rpos, self.rlen) = (0, 0);
+        } else if self.rpos > 64 * 1024 && self.rpos * 2 > self.rlen {
+            self.rbuf.copy_within(self.rpos..self.rlen, 0);
+            self.rlen -= self.rpos;
             self.rpos = 0;
         }
     }
@@ -322,6 +350,7 @@ impl Conn {
     /// iovec array.
     pub fn queue(&mut self, frame: &[u8]) {
         if !frame.is_empty() {
+            self.queued += frame.len();
             self.wq.push_back(frame.to_vec());
         }
     }
@@ -361,6 +390,7 @@ impl Conn {
             }
             // Retire fully-written frames; a short write leaves the
             // front frame with an offset for the next readiness sweep.
+            self.queued -= n as usize;
             let mut left = n as usize;
             while left > 0 {
                 let front = self.wq.front().expect("bytes written from queued frames");
@@ -381,6 +411,11 @@ impl Conn {
     /// Bytes are still queued: keep polling for writability.
     pub fn wants_write(&self) -> bool {
         !self.wq.is_empty()
+    }
+
+    /// Queued bytes not yet written.
+    pub fn queued_bytes(&self) -> usize {
+        self.queued
     }
 
     /// How many write syscalls this connection has attempted — with
