@@ -569,6 +569,44 @@ mod tests {
     }
 
     #[test]
+    fn checked_pool_map_body_explores_clean() {
+        // The caller and its helper claim chunks between yield points,
+        // and the caller waits for the helper on the map's latch site:
+        // every interleaving must return the ordered results and tear
+        // down without a deadlock, and the tree must be fully explored.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static HELPED: AtomicBool = AtomicBool::new(false);
+        let c = cfg(3_000);
+        let report = explore_dpor(
+            || {
+                let pool = pdc_threads::pool::WorkStealingPool::new(2);
+                let base = 10u64;
+                let items: Vec<u64> = (0..2).collect();
+                let got = pdc_threads::pool::pool_map(&pool, items, |x| {
+                    let on_worker = std::thread::current()
+                        .name()
+                        .is_some_and(|n| n.starts_with("pdc-worker"));
+                    if on_worker {
+                        HELPED.store(true, Ordering::Relaxed);
+                    }
+                    x * x + base
+                });
+                assert_eq!(got, vec![10, 11]);
+                drop(pool);
+            },
+            &c,
+        );
+        assert!(
+            report.passed(),
+            "{:?}",
+            report.failure.map(|f| f.description)
+        );
+        assert!(report.complete && report.schedules_run > 1);
+        // Some explored schedule let a helper claim a chunk.
+        assert!(HELPED.load(Ordering::Relaxed));
+    }
+
+    #[test]
     fn strict_replay_rejects_schedules_naming_unspawned_tasks() {
         let junk = crate::Schedule {
             strategy: "replay".into(),

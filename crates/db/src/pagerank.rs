@@ -10,9 +10,10 @@
 //! backend — and every summation order — produces bit-identical ranks:
 //!
 //! * **Sequential** — one scatter/gather loop per round.
-//! * **Threads** — the per-round scatter fans out over the
-//!   work-stealing pool; partial contribution vectors merge by
-//!   commutative integer addition.
+//! * **Threads** — each round's scatter fans out over the
+//!   work-stealing pool into per-worker partial contribution vectors,
+//!   and a second pooled pass sums them by destination segment
+//!   (commutative integer addition).
 //! * **Mpi** — each round's contributions ride the sharded KV as
 //!   `Put("dst:src", amount)` batches (one world run per round — a
 //!   genuine multi-round shuffle), and the gathered state is summed by
@@ -97,42 +98,47 @@ pub fn ranks_sequential(graph: &[[usize; OUT_DEGREE]]) -> Vec<u64> {
     ranks
 }
 
-/// Threaded scatter: each round fans node chunks over the pool; every
-/// chunk produces a partial contribution vector and the (commutative,
-/// integer) merge keeps the result identical to [`ranks_sequential`].
+/// Nodes per segment of the threaded gather: each segment sums the
+/// per-worker partials over its own slice of the next rank vector.
+const GATHER_SEGMENT: usize = 1 << 12;
+
+/// Threaded scatter/gather. Each round is two maps over the pool: a
+/// scatter of equal node ranges into one partial contribution vector
+/// per worker, then a gather over disjoint segments of the next rank
+/// vector that sums the partials. Both borrow the graph, the ranks and
+/// the partials, which live across rounds. The (commutative, integer)
+/// sums keep the result identical to [`ranks_sequential`].
 pub fn ranks_pooled(graph: &[[usize; OUT_DEGREE]], pool: &WorkStealingPool) -> Vec<u64> {
     let n = graph.len();
     let workers = pool.workers().max(1);
     let chunk = n.div_ceil(workers).max(1);
     let mut ranks = vec![SCALE; n];
+    let mut next = vec![0u64; n];
+    let mut partials = vec![vec![0u64; n]; graph.chunks(chunk).len()];
     for _ in 0..ROUNDS {
-        let chunks: Vec<(usize, Vec<[usize; OUT_DEGREE]>)> = graph
-            .chunks(chunk)
-            .enumerate()
-            .map(|(i, c)| (i * chunk, c.to_vec()))
-            .collect();
-        let ranks_in = std::sync::Arc::new(ranks.clone());
-        let partials = pool_map(pool, chunks, {
-            let ranks_in = std::sync::Arc::clone(&ranks_in);
-            move |(lo, nodes)| {
-                let mut partial = vec![0u64; n];
-                for (i, out) in nodes.iter().enumerate() {
-                    let c = edge_contribution(ranks_in[lo + i]);
-                    for &dst in out {
-                        partial[dst] += c;
-                    }
+        let scatter: Vec<_> = graph.chunks(chunk).zip(&mut partials).enumerate().collect();
+        pool_map(pool, scatter, |(i, (nodes, partial))| {
+            partial.fill(0);
+            let lo = i * chunk;
+            for (v, out) in nodes.iter().enumerate() {
+                let c = edge_contribution(ranks[lo + v]);
+                for &dst in out {
+                    partial[dst] += c;
                 }
-                record_steps((nodes.len() * OUT_DEGREE) as u64);
-                partial
+            }
+            record_steps((nodes.len() * OUT_DEGREE) as u64);
+        });
+        let gather: Vec<_> = next.chunks_mut(GATHER_SEGMENT).enumerate().collect();
+        pool_map(pool, gather, |(i, segment)| {
+            let lo = i * GATHER_SEGMENT;
+            segment.fill(base_mass());
+            for partial in &partials {
+                for (acc, p) in segment.iter_mut().zip(&partial[lo..]) {
+                    *acc += p;
+                }
             }
         });
-        let mut next = vec![base_mass(); n];
-        for partial in partials {
-            for (acc, p) in next.iter_mut().zip(partial) {
-                *acc += p;
-            }
-        }
-        ranks = next;
+        std::mem::swap(&mut ranks, &mut next);
     }
     ranks
 }

@@ -152,7 +152,7 @@ pub fn external_merge_sort<T: Ord + Clone>(
 ///
 /// # Panics
 /// Panics if memory is smaller than two blocks (cannot merge).
-pub fn external_merge_sort_pooled<T: Ord + Clone + Send + 'static>(
+pub fn external_merge_sort_pooled<T: Ord + Clone + Send>(
     disk: &mut Disk<T>,
     input: FileId,
     config: SortConfig,

@@ -12,8 +12,9 @@
 //!   workload where dynamic scheduling beats static);
 //! * [`render::render_distributed`] — row bands over `pdc-mpi` ranks,
 //!   gathered at rank 0 (the "cluster" dimension of the hybrid project);
-//! * [`render::render_pool`] — rows as work-stealing pool tasks (the
-//!   irregular-work load balancer);
+//! * [`render::render_pool`] — rows mapped over the work-stealing pool,
+//!   chunks of rows claimed as threads free up (the irregular-work load
+//!   balancer);
 //! * [`render::render_gpu`] — one simulated GPU thread per pixel on
 //!   [`pdc_gpu`] (the "CUDA" dimension, with its cost model).
 //!

@@ -9,7 +9,6 @@ use pdc_gpu::KernelStats;
 use pdc_mpi::world::{Rank, TrafficStats, World};
 use pdc_threads::parfor::{parallel_for, Schedule};
 use pdc_threads::pool::{pool_map, WorkStealingPool};
-use std::sync::Arc;
 
 /// An RGB image with 8-bit channels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,10 +152,11 @@ pub fn render_threaded(
     img
 }
 
-/// Work-stealing renderer: one pool task per row, results reassembled
-/// in row order by [`pool_map`]. Unlike [`render_threaded`]'s fixed
-/// schedules, the pool balances the irregular per-row cost by stealing.
-/// Bit-identical to [`render_sequential`].
+/// Work-stealing renderer: the rows are mapped over the pool by
+/// [`pool_map`], which borrows the scene and reassembles them in row
+/// order. Unlike [`render_threaded`]'s fixed schedules, the map's
+/// threads claim chunks of rows as they go, which balances the irregular
+/// per-row cost. Bit-identical to [`render_sequential`].
 pub fn render_pool(
     scene: &Scene,
     cam: &Camera,
@@ -165,10 +165,7 @@ pub fn render_pool(
     depth: u32,
     pool: &WorkStealingPool,
 ) -> Image {
-    // Pool tasks are 'static: ship an owned copy of the scene.
-    let ctx = Arc::new((scene.clone(), *cam));
-    let rows = pool_map(pool, (0..h).collect(), move |y| {
-        let (scene, cam) = &*ctx;
+    let rows = pool_map(pool, (0..h).collect(), |y| {
         render_row(scene, cam, w, h, y, depth)
     });
     let mut img = Image::new(w, h);

@@ -8,7 +8,12 @@
 //! Rayon (see the Rayon README in the course reading list).
 //!
 //! * [`pool`] — work-stealing thread pool for `'static` tasks, with
-//!   steal counters for the load-balancing experiments.
+//!   steal counters for the load-balancing experiments. Idle workers
+//!   park after a bounded spin, so an idle pool costs no CPU. Its
+//!   [`pool_map`] is a scoped, chunked map: the items and `f` may borrow
+//!   from the caller, the caller runs chunks alongside at most one
+//!   helper task per worker, and it returns once every helper is done
+//!   with the borrowed data.
 //! * [`join`](mod@join) — structured fork-join over scoped threads, plus
 //!   depth-limited parallel recursion helpers.
 //! * [`parfor`] — `parallel_for` with [`parfor::Schedule`] policies.

@@ -1,4 +1,4 @@
-//! A work-stealing thread pool.
+//! A work-stealing thread pool and the scoped parallel map built on it.
 //!
 //! Each worker owns a LIFO deque of tasks; when empty it steals from the
 //! global injector or from siblings (FIFO side). This is the scheduling
@@ -7,22 +7,71 @@
 //! (`pool.executed`, `pool.steals`, `pool.panicked`, `pool.submitted`,
 //! `pool.completed`) through a pdc-trace [`TraceSession`] and records
 //! spawn/steal events, which the load-imbalance bench reports.
+//!
+//! An idle worker spins for a bounded number of rounds, then parks on a
+//! condvar; a submit wakes one parked worker only when some worker is
+//! asleep, so an idle pool costs no CPU. [`WorkStealingPool::wait_idle`]
+//! likewise blocks after a bounded spin.
+//!
+//! [`pool_map`] is a *scoped* map: `f` and the items may borrow from the
+//! caller. It cuts the items into chunks, sends at most one helper task
+//! per worker, and the caller claims and runs chunks alongside the
+//! helpers, so a map costs a handful of tasks whatever its length. It
+//! returns only after every helper that touched the caller's data has
+//! left.
 
 use crossbeam::deque::{Injector, Stealer, Worker};
 use pdc_core::metrics::Counter;
 use pdc_core::trace::{self, EventKind, SiteId, ThreadTrace, TraceSession};
 use pdc_sync::hooks::{self, AbortSchedule, SpawnToken};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// Idle rounds a thread spins with `spin_loop` hints before it starts
+/// yielding its CPU (see [`idle_round`]).
+const SPIN_ROUNDS: u32 = 64;
+/// Idle rounds it then yields before it blocks.
+const YIELD_ROUNDS: u32 = 32;
+
+/// Chunks per participating thread (the caller and each helper) that
+/// [`pool_map`] cuts its items into: enough that threads claiming chunks
+/// as they go even out irregular item costs, few enough that claiming
+/// stays negligible.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// One round of a bounded idle wait: a `spin_loop` hint for the first
+/// [`SPIN_ROUNDS`], then a `yield_now` for [`YIELD_ROUNDS`] more.
+/// Returns `false` once both are spent: the caller should block.
+fn idle_round(round: &mut u32) -> bool {
+    if *round < SPIN_ROUNDS {
+        std::hint::spin_loop();
+    } else if *round < SPIN_ROUNDS + YIELD_ROUNDS {
+        std::thread::yield_now();
+    } else {
+        return false;
+    }
+    *round += 1;
+    true
+}
+
+/// Lock a mutex no code path can poison (nothing panics while holding
+/// one), tolerating poison anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A task plus the fork handle its submitter's causal history was
 /// published under (see [`EventKind::Fork`]/[`EventKind::Join`]).
 struct QueuedTask {
     handle: u64,
     seq: u64,
+    /// A [`pool_map`] helper: it hands its completion fork to the map's
+    /// caller itself, so the worker queues none for `wait_idle`.
+    map_helper: bool,
     run: Task,
 }
 
@@ -35,6 +84,17 @@ struct Shared {
     /// writes and the waiter's reads.
     pending: AtomicUsize,
     shutdown: AtomicBool,
+    /// Guards the two condvars below: parked unchecked workers wait on
+    /// `work`, a blocked unchecked `wait_idle` on `idle`.
+    sleep: Mutex<()>,
+    work: Condvar,
+    idle: Condvar,
+    /// Workers parked (or about to park) on `work`. A submit takes
+    /// `sleep` to wake one only when this is nonzero.
+    sleepers: AtomicUsize,
+    /// Threads blocked (or about to block) in `wait_idle`. The
+    /// completion that drains `pending` wakes them only when nonzero.
+    idle_waiters: AtomicUsize,
     /// `pool.executed`: tasks run to completion (panicking ones included).
     executed: Counter,
     /// `pool.panicked`: tasks that panicked (caught; the worker survives).
@@ -53,7 +113,7 @@ struct Shared {
     /// the matching `Join`s after observing zero — the trace edge that
     /// makes "task body happens-before the code after wait_idle"
     /// visible to the span/HB analyses.
-    done_handles: std::sync::Mutex<Vec<u64>>,
+    done_handles: Mutex<Vec<u64>>,
     /// Under a `pdc-check` exploration, the site idle workers and
     /// `wait_idle` block on; submits, completions and shutdown announce
     /// changes to it. Never allocated outside a checker.
@@ -61,7 +121,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn submit(&self, task: Task) {
+    fn submit(&self, task: Task, map_helper: bool) {
         self.pending.fetch_add(1, Ordering::SeqCst);
         let seq = self.submitted.get();
         self.submitted.inc();
@@ -81,15 +141,86 @@ impl Shared {
         self.injector.push(QueuedTask {
             handle,
             seq,
+            map_helper,
             run: task,
         });
+        // Pairs with the fence in `park_worker`: either that worker's
+        // re-check sees this task, or this load sees the worker asleep.
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = lock(&self.sleep);
+            self.work.notify_one();
+        }
         // Wake idle checked workers (and a checked wait_idle) blocked
         // on the pool going quiet. No-op outside a checker.
         hooks::site_changed(&self.idle_site);
     }
+
+    /// Whether any queue holds a task.
+    fn has_work(&self) -> bool {
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
+    /// Park an idle unchecked worker until a submit or shutdown wakes
+    /// it (or a spurious wake-up; the caller just looks for work again).
+    fn park_worker(&self) {
+        let guard = lock(&self.sleep);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // Re-check after announcing the sleep, under the lock a waking
+        // submit takes: a task pushed before the announcement is seen
+        // here, and a submit after it sees the sleeper and notifies
+        // only once this thread is waiting.
+        fence(Ordering::SeqCst);
+        if !self.has_work() && !self.shutdown.load(Ordering::SeqCst) {
+            drop(
+                self.work
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// An unchecked worker's end of a task: drop `pending`, waking a
+    /// blocked `wait_idle` if this was the last task.
+    fn finish_task(&self) {
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.idle_waiters.load(Ordering::SeqCst) > 0
+        {
+            let _guard = lock(&self.sleep);
+            self.idle.notify_all();
+        }
+    }
+
+    /// Block an unchecked `wait_idle` until `pending` reaches zero.
+    fn block_until_idle(&self) {
+        let mut guard = lock(&self.sleep);
+        // SeqCst on both sides: either the last `finish_task` sees this
+        // waiter, or this load sees its decrement.
+        self.idle_waiters.fetch_add(1, Ordering::SeqCst);
+        while self.pending.load(Ordering::SeqCst) != 0 {
+            guard = self
+                .idle
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Record a `Join` of each completion fork `handles` names, against
+    /// the calling thread's sync trace when it has one, else under the
+    /// shared submit actor.
+    fn adopt(&self, handles: Vec<u64>) {
+        for handle in handles {
+            if !trace::record_sync(EventKind::Join, handle, 0) {
+                self.submit_trace.record(EventKind::Join, handle, 0);
+            }
+        }
+    }
 }
 
-/// A fixed-size work-stealing thread pool for `'static` tasks.
+/// A fixed-size work-stealing thread pool: `'static` tasks through
+/// [`WorkStealingPool::spawn`], borrowing maps through [`pool_map`].
 pub struct WorkStealingPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -139,13 +270,18 @@ impl WorkStealingPool {
             stealers,
             pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            sleep: Mutex::new(()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            idle_waiters: AtomicUsize::new(0),
             executed: session.counter("pool.executed"),
             panicked: session.counter("pool.panicked"),
             steals: session.counter("pool.steals"),
             submitted: session.counter("pool.submitted"),
             completed: session.counter("pool.completed"),
             submit_trace,
-            done_handles: std::sync::Mutex::new(Vec::new()),
+            done_handles: Mutex::new(Vec::new()),
             idle_site: SiteId::new(),
         });
         let mut tokens = Vec::new();
@@ -183,7 +319,7 @@ impl WorkStealingPool {
 
     /// Submit a task for execution.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        self.shared.submit(Box::new(task));
+        self.shared.submit(Box::new(task), false);
     }
 
     /// Block until every submitted task (including tasks spawned *by*
@@ -199,10 +335,9 @@ impl WorkStealingPool {
             }
         } else {
             while self.shared.pending.load(Ordering::SeqCst) != 0 {
-                std::hint::spin_loop();
-                spins = spins.wrapping_add(1);
-                if spins.is_multiple_of(32) {
-                    std::thread::yield_now();
+                if !idle_round(&mut spins) {
+                    self.shared.block_until_idle();
+                    break;
                 }
             }
         }
@@ -211,20 +346,9 @@ impl WorkStealingPool {
         // pending == 0 the list is complete and these `Join`s give the
         // trace a path from every task body to the caller's next event
         // — the edge the span pass walks when the critical path runs
-        // through a task. Recorded against the caller's own sync trace
-        // when it has one, else under the shared submit actor.
-        let done: Vec<u64> = std::mem::take(
-            &mut *self
-                .shared
-                .done_handles
-                .lock()
-                .expect("done handles poisoned"),
-        );
-        for handle in done {
-            if !trace::record_sync(EventKind::Join, handle, 0) {
-                self.shared.submit_trace.record(EventKind::Join, handle, 0);
-            }
-        }
+        // through a task.
+        let done = std::mem::take(&mut *lock(&self.shared.done_handles));
+        self.shared.adopt(done);
     }
 
     /// A cloneable submission handle usable from inside tasks.
@@ -271,55 +395,262 @@ pub struct PoolHandle {
 impl PoolHandle {
     /// Submit a task.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        self.shared.submit(Box::new(task));
+        self.shared.submit(Box::new(task), false);
     }
 }
 
 /// Map `f` over `items` on the pool, preserving order: the scenario
-/// seam's threads-backend primitive. Each item becomes one pool task;
-/// results land in per-item lock slots and are collected after
-/// [`WorkStealingPool::wait_idle`], so the output is index-for-index
-/// with the input regardless of which worker ran what (or in what
-/// stolen order).
+/// seam's threads-backend primitive.
 ///
-/// Blocks until the pool is idle, so callers should hand this a pool
-/// with no unrelated in-flight tasks.
-pub fn pool_map<T, R>(
-    pool: &WorkStealingPool,
-    items: Vec<T>,
-    f: impl Fn(T) -> R + Send + Sync + 'static,
-) -> Vec<R>
+/// `f` and the items may borrow from the caller. The items are cut into
+/// chunks (their size follows from `items.len()` and the worker count);
+/// the caller and at most one helper task per worker claim chunks until
+/// none are left, so irregular item costs still balance and a map costs
+/// a handful of pool tasks, not one per item. The output is
+/// index-for-index with the input whichever thread ran what.
+///
+/// The caller takes part, so a call from inside a pool task finishes
+/// even when every worker is busy. `pool_map` waits on its own latch,
+/// not on [`WorkStealingPool::wait_idle`], so unrelated in-flight tasks
+/// do not hold it up. It neither returns nor unwinds until every helper
+/// that entered the map has left; a helper that starts later touches
+/// nothing of it.
+///
+/// # Panics
+/// If `f` panics on an item, the remaining items still run, and the
+/// first panic is re-raised once every chunk has finished.
+pub fn pool_map<T, R>(pool: &WorkStealingPool, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
 where
-    T: Send + 'static,
-    R: Send + 'static,
+    T: Send,
+    R: Send,
 {
-    type Slot<T, R> = pdc_sync::SpinLock<(Option<T>, Option<R>)>;
-    let slots: Arc<Vec<Slot<T, R>>> = Arc::new(
-        items
-            .into_iter()
-            .map(|t| pdc_sync::SpinLock::new((Some(t), None)))
-            .collect(),
-    );
-    let f = Arc::new(f);
-    for i in 0..slots.len() {
-        let slots = Arc::clone(&slots);
-        let f = Arc::clone(&f);
-        pool.spawn(move || {
-            let input = slots[i].lock().0.take().expect("each item is taken once");
-            let output = f(input);
-            slots[i].lock().1 = Some(output);
-        });
+    let len = items.len();
+    let chunk = len
+        .div_ceil(CHUNKS_PER_THREAD * (pool.workers() + 1))
+        .max(1);
+    let mut items = items.into_iter();
+    let parts: Vec<Mutex<Part<T, R>>> = (0..len.div_ceil(chunk))
+        .map(|_| {
+            Mutex::new(Part {
+                input: items.by_ref().take(chunk).collect(),
+                output: Vec::new(),
+            })
+        })
+        .collect();
+    let job = MapJob {
+        parts,
+        next: AtomicUsize::new(0),
+        claims: SiteId::new(),
+        f: &f,
+        panic: Mutex::new(None),
+    };
+    let latch = Arc::new(Latch::new());
+    let run_chunks = || job.run();
+    let run: &(dyn Fn() + Sync) = &run_chunks;
+    // SAFETY: this only erases the lifetime of `run`, which borrows
+    // `job`, `f` and the items. Helpers call it only between a
+    // successful `latch.enter()` and their `latch.leave()`. Every path
+    // out of this function, unwinding ones included, first runs
+    // `latch.close_and_wait()`, after which no helper can enter and
+    // every helper that entered has left. So `run` is never called once
+    // its borrows end; a helper that starts later finds the latch
+    // closed and drops `run` unused.
+    let run: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(run) };
+    let helpers = pool.workers().min(job.parts.len().saturating_sub(1));
+    // Only a schedule teardown (`AbortSchedule`) unwinds out of here;
+    // item panics are caught and kept by `MapJob::run`.
+    let mine = catch_unwind(AssertUnwindSafe(|| {
+        for _ in 0..helpers {
+            let latch = Arc::clone(&latch);
+            let helper = move || {
+                if !latch.enter() {
+                    return;
+                }
+                let ran = catch_unwind(AssertUnwindSafe(run));
+                // The completion fork the caller joins before returning:
+                // it orders this helper's chunks before the caller's
+                // reads of their results.
+                let handle = trace::next_site_id();
+                let forked = ran.is_ok() && trace::record_sync(EventKind::Fork, handle, 0);
+                latch.leave(forked.then_some(handle));
+                if let Err(payload) = ran {
+                    resume_unwind(payload);
+                }
+            };
+            pool.shared.submit(Box::new(helper), true);
+        }
+        job.run();
+    }));
+    latch.close_and_wait();
+    pool.shared.adopt(std::mem::take(&mut *lock(&latch.done)));
+    if let Err(payload) = mine {
+        resume_unwind(payload);
     }
-    pool.wait_idle();
-    slots
-        .iter()
-        .map(|s| s.lock().1.take().expect("task completed before wait_idle"))
-        .collect()
+    let MapJob { parts, panic, .. } = job;
+    if let Some(payload) = panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        out.extend(
+            part.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .output,
+        );
+    }
+    out
+}
+
+/// One chunk of a [`pool_map`]: its items until a thread claims it,
+/// then its results.
+struct Part<T, R> {
+    input: Vec<T>,
+    output: Vec<R>,
+}
+
+/// The state a [`pool_map`] shares with its helpers, on the caller's
+/// stack.
+struct MapJob<'f, T, R, F> {
+    parts: Vec<Mutex<Part<T, R>>>,
+    /// Index of the next chunk to claim.
+    next: AtomicUsize,
+    /// Under a checker, the site each claim announces, so the claims of
+    /// different threads conflict in the explorer's footprints.
+    claims: SiteId,
+    f: &'f F,
+    /// The first item panic, re-raised by the caller at the end.
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+impl<T, R, F: Fn(T) -> R> MapJob<'_, T, R, F> {
+    /// Claim and run chunks until none are left. An item panic is
+    /// caught and kept so the other items still run; only a schedule
+    /// teardown unwinds at once.
+    fn run(&self) {
+        loop {
+            // Under a checker, let a helper claim the next chunk.
+            hooks::yield_point();
+            let claim = self.next.fetch_add(1, Ordering::Relaxed);
+            hooks::site_changed(&self.claims);
+            let Some(part) = self.parts.get(claim) else {
+                return;
+            };
+            let input = std::mem::take(&mut lock(part).input);
+            let mut output = Vec::with_capacity(input.len());
+            for item in input {
+                match catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
+                    Ok(r) => output.push(r),
+                    Err(payload) if payload.is::<AbortSchedule>() => resume_unwind(payload),
+                    Err(payload) => {
+                        lock(&self.panic).get_or_insert(payload);
+                    }
+                }
+            }
+            lock(part).output = output;
+        }
+    }
+}
+
+/// Set in [`Latch::state`] once the caller admits no more helpers.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// How a [`pool_map`] caller knows its helpers are done with its stack.
+/// Shared through an `Arc`, so a helper that starts after the map
+/// returned still has a latch to find closed.
+struct Latch {
+    /// Helpers inside the map, plus [`CLOSED`].
+    state: AtomicUsize,
+    /// Completion fork handles of the helpers that left. Its lock also
+    /// orders the last leave against a blocked caller.
+    done: Mutex<Vec<u64>>,
+    left: Condvar,
+    /// Under a checker, the site the caller waits on and a leaving
+    /// helper announces.
+    site: SiteId,
+}
+
+impl Latch {
+    fn new() -> Self {
+        Latch {
+            state: AtomicUsize::new(0),
+            done: Mutex::new(Vec::new()),
+            left: Condvar::new(),
+            site: SiteId::new(),
+        }
+    }
+
+    /// Enter the map, unless the caller has closed it.
+    fn enter(&self) -> bool {
+        let entered = self
+            .state
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
+                (s & CLOSED == 0).then_some(s + 1)
+            })
+            .is_ok();
+        // Under a checker, an attempt conflicts with the caller's close.
+        hooks::site_changed(&self.site);
+        entered
+    }
+
+    /// Leave the map, handing over the completion fork `handle`.
+    fn leave(&self, handle: Option<u64>) {
+        let mut done = lock(&self.done);
+        done.extend(handle);
+        if self.state.fetch_sub(1, Ordering::SeqCst) == CLOSED + 1 {
+            self.left.notify_one();
+        }
+        drop(done);
+        hooks::site_changed(&self.site);
+    }
+
+    /// Admit no more helpers, then wait until every helper inside has
+    /// left: after a bounded spin, on `left`; under a checker, on
+    /// `site`.
+    fn close_and_wait(&self) {
+        self.state.fetch_or(CLOSED, Ordering::SeqCst);
+        hooks::site_changed(&self.site);
+        if hooks::is_checked() {
+            let mut spins = 0;
+            let waited = catch_unwind(AssertUnwindSafe(|| {
+                while self.state.load(Ordering::SeqCst) != CLOSED {
+                    hooks::spin_wait(&mut spins, &self.site);
+                }
+            }));
+            if let Err(payload) = waited {
+                // Schedule teardown: the helpers are unwinding out of
+                // their hooks and no longer wait for the baton. Wait
+                // for them for real, then keep unwinding.
+                self.block();
+                resume_unwind(payload);
+            }
+            return;
+        }
+        let mut round = 0;
+        while self.state.load(Ordering::SeqCst) != CLOSED {
+            if !idle_round(&mut round) {
+                self.block();
+                return;
+            }
+        }
+    }
+
+    fn block(&self) {
+        let mut done = lock(&self.done);
+        while self.state.load(Ordering::SeqCst) != CLOSED {
+            done = self.left.wait(done).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 impl Drop for WorkStealingPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Parked workers re-check `shutdown` under this lock before
+            // they wait, so none sleeps through it.
+            let _guard = lock(&self.shared.sleep);
+            self.shared.work.notify_all();
+        }
         // Wake idle checked workers so they can observe the shutdown,
         // then join them through the checker *before* the blocking OS
         // joins: a checked task stuck in an OS join would hold the
@@ -348,7 +679,7 @@ fn worker_loop(
         // Checked mode: the worker is a schedulable task. Teardown
         // unwinds (AbortSchedule) and real panics both end in end_task,
         // so the checker never waits on a dead worker.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             hooks::begin_task(&token);
             checked_worker_loop(idx, &local, &shared, &trace)
         }));
@@ -364,7 +695,7 @@ fn worker_loop(
     // In steal events, `victim` is the sibling worker's index, or the
     // worker count (== the submit actor id) for the global injector.
     let injector_id = shared.stealers.len() as u64;
-    let mut idle_spins = 0u32;
+    let mut idle = 0u32;
     loop {
         // 1. Local LIFO pop (cache-friendly depth-first).
         let task = local.pop().or_else(|| {
@@ -401,30 +732,30 @@ fn worker_loop(
         });
         match task {
             Some(t) => {
-                idle_spins = 0;
+                idle = 0;
                 // Adopt the submitter's history before running the task:
                 // everything the submitter did before spawn() now
                 // happens-before the task body.
                 trace.record(EventKind::Join, t.handle, t.seq);
                 // Contain panics: a dying worker would strand wait_idle
                 // (the pending count would never reach zero).
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(t.run)).is_err() {
+                if catch_unwind(AssertUnwindSafe(t.run)).is_err() {
                     shared.panicked.inc();
                 }
-                publish_completion(&shared, &trace, t.seq);
+                if !t.map_helper {
+                    publish_completion(&shared, &trace, t.seq);
+                }
                 shared.executed.inc();
                 shared.completed.inc();
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
+                shared.finish_task();
             }
             None => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                idle_spins = idle_spins.wrapping_add(1);
-                if idle_spins.is_multiple_of(16) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
+                if !idle_round(&mut idle) {
+                    shared.park_worker();
+                    idle = 0;
                 }
             }
         }
@@ -498,8 +829,7 @@ fn checked_worker_loop(
         match task {
             Some(t) => {
                 trace.record(EventKind::Join, t.handle, t.seq);
-                if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t.run))
-                {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(t.run)) {
                     if payload.is::<AbortSchedule>() {
                         // Schedule teardown, not a task failure: keep
                         // unwinding so the worker exits cleanly.
@@ -507,7 +837,9 @@ fn checked_worker_loop(
                     }
                     shared.panicked.inc();
                 }
-                publish_completion(shared, trace, t.seq);
+                if !t.map_helper {
+                    publish_completion(shared, trace, t.seq);
+                }
                 shared.executed.inc();
                 shared.completed.inc();
                 shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -530,11 +862,7 @@ fn checked_worker_loop(
 fn publish_completion(shared: &Shared, trace: &ThreadTrace, seq: u64) {
     let handle = trace::next_site_id();
     trace.record(EventKind::Fork, handle, seq);
-    shared
-        .done_handles
-        .lock()
-        .expect("done handles poisoned")
-        .push(handle);
+    lock(&shared.done_handles).push(handle);
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -814,7 +1142,8 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|v| v * v + 1).collect();
         let got = pool_map(&pool, items, |v| v * v + 1);
         assert_eq!(got, expected);
-        assert_eq!(pool.executed(), 500);
+        // Chunked: at most one helper task per worker, not one per item.
+        assert!(pool.executed() <= pool.workers() as u64);
     }
 
     #[test]

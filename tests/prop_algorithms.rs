@@ -1,13 +1,106 @@
 //! Property-based tests over the algorithm suite: every sorting,
 //! selection, scan, and merge implementation must agree with its
-//! specification on arbitrary inputs.
+//! specification on arbitrary inputs, and the pool's scoped map must
+//! agree with a sequential map.
 
 use pdc::algos::mergesort::{merge, merge_sort, parallel_merge, parallel_merge_sort_pmerge};
 use pdc::algos::scanapps::{max_subarray_sum, radix_sort_u64};
 use pdc::algos::selection::{median_of_medians, parallel_select, quickselect};
 use pdc::algos::sorting::{parallel_quicksort, quicksort, sample_sort};
+use pdc::threads::pool::{pool_map, WorkStealingPool};
 use pdc::threads::sliceops::{par_exclusive_scan, par_filter, par_map, par_reduce};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+/// Run `body` on its own thread and fail, instead of hanging, if it
+/// does not finish within `secs` (a deadlock or a lost wake-up).
+fn within<R: Send + 'static>(
+    secs: u64,
+    what: &str,
+    body: impl FnOnce() -> R + Send + 'static,
+) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what} did not finish within {secs}s"))
+}
+
+#[test]
+fn nested_pool_map_on_a_one_worker_pool_returns() {
+    let out = within(60, "nested pool_map", || {
+        let pool = Arc::new(WorkStealingPool::new(1));
+        let (tx, rx) = mpsc::channel();
+        let inner = Arc::clone(&pool);
+        // The only worker runs this task, so no helper of the inner map
+        // can start before the map is done: the caller must do it all.
+        pool.spawn(move || {
+            let doubled = pool_map(&inner, (0..50u64).collect(), |x| x * 2);
+            // And a map nested in a map's item, on the same pool.
+            let sums = pool_map(&inner, vec![10u64, 20], |n| {
+                pool_map(&inner, (0..n).collect(), |x| x)
+                    .iter()
+                    .sum::<u64>()
+            });
+            tx.send((doubled, sums)).unwrap();
+        });
+        pool.wait_idle();
+        rx.recv().unwrap()
+    });
+    assert_eq!(out.0, (0..50u64).map(|x| x * 2).collect::<Vec<_>>());
+    assert_eq!(out.1, vec![45, 190]);
+}
+
+#[test]
+fn pool_map_reraises_an_item_panic_after_the_other_items_ran() {
+    for workers in 1..=4 {
+        let pool = WorkStealingPool::new(workers);
+        let ran = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool_map(&pool, (0..100usize).collect(), |i| {
+                if i == 37 {
+                    panic!("item 37 fails");
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+        }));
+        let payload = result.expect_err("the item panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 37 fails"));
+        assert_eq!(ran.load(Ordering::SeqCst), 99, "on {workers} workers");
+        // The pool survives and maps again.
+        assert_eq!(pool_map(&pool, vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
+    }
+}
+
+#[test]
+fn parked_workers_wake_for_every_submit() {
+    within(120, "spawn/wait_idle cycles with idle gaps", || {
+        for workers in 1..=3 {
+            let pool = WorkStealingPool::new(workers);
+            let hits = Arc::new(AtomicUsize::new(0));
+            for cycle in 0..60 {
+                // Long enough for every worker to spin out and park.
+                std::thread::sleep(Duration::from_millis(2));
+                let tasks = 1 + cycle % (workers + 2);
+                for _ in 0..tasks {
+                    let hits = Arc::clone(&hits);
+                    pool.spawn(move || {
+                        hits.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                pool.wait_idle();
+                assert_eq!(hits.swap(0, Ordering::SeqCst), tasks, "cycle {cycle}");
+                let items: Vec<usize> = (0..cycle).collect();
+                assert_eq!(pool_map(&pool, items, |x| x * 3).len(), cycle);
+            }
+        }
+    });
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -110,5 +203,23 @@ proptest! {
             best = best.max(cur);
         }
         prop_assert_eq!(max_subarray_sum(&data, 3), best);
+    }
+
+    #[test]
+    fn pool_map_over_borrowed_input_matches_sequential_map(
+        data in prop::collection::vec(any::<i64>(), 1..200),
+        workers in 1usize..5,
+    ) {
+        let pool = WorkStealingPool::new(workers);
+        let offset = data[0];
+        // Empty, one item, fewer items than workers, and many times
+        // the workers, each cycling through the drawn values.
+        for len in [0, 1, workers - 1, workers + 1, 16 * workers, data.len()] {
+            let input: Vec<i64> = data.iter().copied().cycle().take(len).collect();
+            let borrowed: Vec<&i64> = input.iter().collect();
+            let want: Vec<i64> = input.iter().map(|x| x.wrapping_mul(3) ^ offset).collect();
+            let got = pool_map(&pool, borrowed, |x| x.wrapping_mul(3) ^ offset);
+            prop_assert_eq!(got, want);
+        }
     }
 }
